@@ -6,12 +6,20 @@ La = a_1 x_1 + ... + a_n x_n.  The embedding is injective and filtration
 preserving, so the lowest nonvanishing homogeneous degree of the image
 computes the gamma-filtration degree, and homogeneous components of images
 of gamma operations are Chern classes.
+
+`chern_class` follows that definition through the gamma operations.
+`total_chern` computes the same classes by the splitting principle, as the
+truncated product of (1 + La)^(m_a) over the weights a of multiplicity m_a,
+in integer arithmetic.  The symbol map is built one homogeneous degree at a
+time, so `filtration_degree` and `leading_class` stop at the first nonzero
+component.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
-from .char_ring import VirtualCharacter, augmentation, gamma_series
+from .char_ring import VirtualCharacter, augmentation, binomial, gamma_series
 from .errors import AugmentationError, FiltrationCapError, RankMismatchError
 
 BEYOND_CAP = "beyond-cap"
@@ -79,14 +87,7 @@ class SymbolicPolynomial:
     @classmethod
     def linear_form(cls, coords):
         """The form La = sum a_i x_i of a weight a."""
-        rank = len(coords)
-        terms = {}
-        for i, a in enumerate(coords):
-            if a:
-                exps = [0] * rank
-                exps[i] = 1
-                terms[tuple(exps)] = Fraction(a)
-        return cls(rank, terms)
+        return cls(len(coords), _form(coords))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -121,12 +122,7 @@ class SymbolicPolynomial:
                 self.rank, {e: c * other for e, c in self.terms.items()}
             )
         self._check_rank(other)
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return SymbolicPolynomial(self.rank, terms)
+        return SymbolicPolynomial(self.rank, _multiply(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -289,24 +285,70 @@ class GradedClass:
         return f"GradedClass({self.degree}, {self.value!r})"
 
 
+def _form(coords):
+    """Integer terms of the linear form La = sum a_i x_i of a weight a."""
+    rank = len(coords)
+    terms = {}
+    for i, a in enumerate(coords):
+        if a:
+            exps = [0] * rank
+            exps[i] = 1
+            terms[tuple(exps)] = a
+    return terms
+
+
+def _multiply(f, g):
+    """Product of two polynomials given as exponents -> coefficient."""
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _symbol_numerators(x):
+    """Yield, for k = 0, 1, 2, ..., the integer polynomial sum_a m_a La^k
+    (exponents -> nonzero coefficient); divided by k! it is the degree-k
+    component of the symbol of x."""
+    rank = x.rank
+    forms = [(x.terms[w], _form(w)) for w in sorted(x.terms)]
+    powers = [{(0,) * rank: 1}] * len(forms)
+    while True:
+        acc = {}
+        for (m, _), power in zip(forms, powers):
+            for e, c in power.items():
+                acc[e] = acc.get(e, 0) + m * c
+        yield {e: c for e, c in acc.items() if c}
+        powers = [_multiply(power, form) for (_, form), power in zip(forms, powers)]
+
+
+def _component(numerators, k):
+    scale = factorial(k)
+    return {e: Fraction(c, scale) for e, c in numerators.items()}
+
+
+def _lowest_component(x, cap):
+    """(p, component) for the least p <= cap with a nonzero degree-p symbol
+    component of x, or None when every component through cap vanishes."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    for p, numerators in zip(range(cap + 1), _symbol_numerators(x)):
+        if numerators:
+            return p, _component(numerators, p)
+    return None
+
+
 def symbol_map(x, d):
     """Embed a virtual character as a polynomial, truncated at degree d:
-    each weight a contributes its multiplicity times sum_{k<=d} (La)^k / k!."""
+    each weight a contributes its multiplicity times sum_{k<=d} (La)^k / k!,
+    so the degree-k component is sum_a m_a La^k / k!."""
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    rank = x.rank
-    acc = {}
-    for w in sorted(x.terms):
-        m = x.terms[w]
-        form = SymbolicPolynomial.linear_form(w)
-        power = SymbolicPolynomial.one(rank)
-        for k in range(d + 1):
-            if k:
-                power = (power * form).truncate(d)
-            scale = Fraction(m, factorial(k))
-            for e, c in power.terms.items():
-                acc[e] = acc.get(e, Fraction(0)) + c * scale
-    return SymbolicPolynomial(rank, acc)
+    terms = {}
+    for k, numerators in zip(range(d + 1), _symbol_numerators(x)):
+        terms.update(_component(numerators, k))
+    return SymbolicPolynomial(x.rank, terms)
 
 
 def chern_character(x, d):
@@ -324,17 +366,11 @@ def default_cap(x):
 
 def filtration_degree(x, cap):
     """Least p <= cap with nonzero degree-p symbol component of x - eps(x)[0];
-    0 when eps(x) != 0, BEYOND_CAP when all components through cap vanish."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    eps = augmentation(x)
-    if eps != 0:
-        return 0
-    image = symbol_map(x, cap)
-    degrees = sorted(sum(e) for e in image.terms)
-    if degrees:
-        return degrees[0]
-    return BEYOND_CAP
+    0 when eps(x) != 0, BEYOND_CAP when all components through cap vanish.
+    Components are built one degree at a time, stopping at the first nonzero
+    one."""
+    lowest = _lowest_component(x, cap)
+    return BEYOND_CAP if lowest is None else lowest[0]
 
 
 def leading_class(x, cap=None):
@@ -347,15 +383,19 @@ def leading_class(x, cap=None):
         raise AugmentationError("leading_class needs an augmentation-zero input")
     if cap is None:
         cap = default_cap(x)
-    p = filtration_degree(x, cap)
-    if p == BEYOND_CAP:
+    lowest = _lowest_component(x, cap)
+    if lowest is None:
         raise FiltrationCapError(f"no nonzero component up to degree {cap}")
-    return GradedClass(p, symbol_map(x, p).homogeneous_component(p))
+    p, component = lowest
+    return GradedClass(p, SymbolicPolynomial(x.rank, component))
 
 
 def chern_class(x, p):
     """c_p(x): the degree-p component of the symbol of gamma^p(x - eps(x)),
-    i.e. its class in the p-th graded piece; c_0 = 1."""
+    i.e. its class in the p-th graded piece; c_0 = 1.
+
+    This is the definition by gamma operations; `total_chern` computes the
+    same classes by the splitting principle."""
     if p < 0:
         raise ValueError("chern class degree must be >= 0")
     rank = x.rank
@@ -363,15 +403,40 @@ def chern_class(x, p):
         return GradedClass(0, SymbolicPolynomial.one(rank))
     reduced = x - VirtualCharacter.unit(rank) * augmentation(x)
     g = gamma_series(reduced, p).coefficient(p)
-    return GradedClass(p, symbol_map(g, p).homogeneous_component(p))
+    numerators = next(islice(_symbol_numerators(g), p, None))
+    return GradedClass(p, SymbolicPolynomial(rank, _component(numerators, p)))
 
 
 def total_chern(x, d):
-    """Total Chern class through degree d; for an effective character this is
-    the truncated product of (1 + La) over its weights."""
+    """Total Chern class through degree d, by the splitting principle: the
+    product over the nonzero weights a of (1 + La)^(m_a), truncated at
+    degree d.  Each factor is the generalized binomial series
+    sum_k C(m_a, k) La^k, which stops at k = m_a when m_a >= 0 and is the
+    truncated inverse power when m_a < 0."""
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    out = SymbolicPolynomial.zero(x.rank)
-    for p in range(d + 1):
-        out = out + chern_class(x, p).value
-    return out
+    rank = x.rank
+    one = {(0,) * rank: 1}
+    parts = {0: one}  # homogeneous parts of the product, by degree
+    for w in sorted(x.terms):
+        if not any(w):
+            continue
+        m = x.terms[w]
+        form = _form(w)
+        factor = [one]  # factor[k] = C(m, k) La^k
+        power = one
+        for k in range(1, (d if m < 0 else min(m, d)) + 1):
+            power = _multiply(power, form)
+            c = binomial(m, k)
+            factor.append({e: c * v for e, v in power.items()})
+        product = {}
+        for i, part in parts.items():
+            for k, term in enumerate(factor[: d - i + 1]):
+                target = product.setdefault(i + k, {})
+                for e, c in _multiply(part, term).items():
+                    target[e] = target.get(e, 0) + c
+        parts = product
+    terms = {}
+    for part in parts.values():
+        terms.update(part)
+    return SymbolicPolynomial(rank, terms)

@@ -325,6 +325,10 @@ def parse_rep(text, g):
 def rep_to_character(node, g):
     """Evaluate a representation expression to a virtual character."""
     if isinstance(node, RStd):
+        if g.family == TORUS:
+            raise ParseError(
+                f"{g} has no standard representation; give its weights as weights[[...]]"
+            )
         return reps.standard(g)
     if isinstance(node, RExt):
         return reps.exterior(rep_to_character(node.arg, g), node.power)

@@ -34,6 +34,21 @@ def test_chern_monomials_default_degree():
     assert out.strip() == "1 + x1 + x2 + x1*x2"
 
 
+def test_chern_so8_ext2_generators():
+    code, out, _ = run_cli(
+        ["chern", "SO8", "ext(2,std)", "--max-degree", "6", "--basis", "generators"]
+    )
+    assert code == 0
+    assert out.strip() == "1 + 6*I1 + 15*I1^2 + 20*I1^3 + 4*I1*I2 - 24*I3"
+
+
+def test_chern_huge_max_degree():
+    # the product stops at the top Chern class, whatever the truncation
+    code, out, _ = run_cli(["chern", "GL2", "std", "--max-degree", "100000000"])
+    assert code == 0
+    assert out.strip() == "1 + x1 + x2 + x1*x2"
+
+
 def test_ch_output():
     code, out, _ = run_cli(["ch", "GL2", "std", "--max-degree", "2"])
     assert code == 0
@@ -101,6 +116,13 @@ def test_usage_errors_exit_1():
     assert code == 1 and "error[parse]" in err
     code, _, err = run_cli(["chern", "QQ7", "std"])
     assert code == 1 and "error[parse]" in err
+
+
+def test_torus_std_is_a_parse_error():
+    for argv in (["chern", "T2", "std"], ["lambda", "-p", "1", "T3", "ext(2,std)"]):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error[parse]: ") and "standard representation" in err
 
 
 def test_computation_errors_exit_2():

@@ -85,6 +85,24 @@ def test_symbol_map_cosh_combination():
     assert symbol_map(x, 4) == P(2, {(2, 0): 1, (4, 0): Fraction(1, 12)})
 
 
+def reference_symbol_map(x, d):
+    """Independent oracle: sum_a m_a sum_{k<=d} La^k / k! in polynomial
+    arithmetic."""
+    total = SymbolicPolynomial.zero(x.rank)
+    for w, m in x.terms.items():
+        form = SymbolicPolynomial.linear_form(w)
+        for k in range(d + 1):
+            total = total + form**k * Fraction(m, factorial(k))
+    return total
+
+
+def test_symbol_map_matches_reference():
+    for _ in range(30):
+        x = rand_char(rng.randint(1, 3))
+        d = rng.randint(0, 5)
+        assert symbol_map(x, d) == reference_symbol_map(x, d)
+
+
 def test_symbol_map_degree_zero_is_augmentation():
     for _ in range(30):
         x = rand_char(rng.randint(1, 3))
@@ -100,6 +118,37 @@ def test_filtration_degree_examples():
     assert filtration_degree(sym, 5) == 2
     assert filtration_degree(VirtualCharacter.zero(2), 4) == BEYOND_CAP
     assert filtration_degree(a, 4) == 0  # nonzero augmentation
+
+
+def rand_filtered(rank):
+    """A random combination of products of j factors ([b] - [0]), which lies
+    in filtration j, so that small caps often end at BEYOND_CAP."""
+    one = VirtualCharacter.unit(rank)
+    x = VirtualCharacter.zero(rank)
+    for _ in range(rng.randint(0, 3)):
+        term = one * rng.randint(-2, 2)
+        for _ in range(rng.randint(0, 3)):
+            b = tuple(rng.randint(-2, 2) for _ in range(rank))
+            term = term * (V(rank, {b: 1}) - one)
+        x = x + term
+    return x
+
+
+def test_filtration_degree_matches_full_symbol():
+    samples = [VirtualCharacter.zero(2)]
+    for _ in range(30):
+        r = rng.randint(1, 3)
+        samples += [rand_char(r), rand_filtered(r)]
+    for x in samples:
+        for cap in (1, 2, 3, 5):
+            degrees = [sum(e) for e in symbol_map(x, cap).terms]
+            expected = min(degrees) if degrees else BEYOND_CAP
+            assert filtration_degree(x, cap) == expected
+            if augmentation(x) == 0 and expected != BEYOND_CAP:
+                cls = leading_class(x, cap)
+                assert cls.degree == expected
+                assert cls.value == symbol_map(x, cap).homogeneous_component(expected)
+    assert any(filtration_degree(x, 2) == BEYOND_CAP for x in samples if x)
 
 
 def test_default_cap_always_detects():
@@ -179,6 +228,20 @@ def test_total_chern_effective_equals_split_product():
         for form in split_weight_forms(x):
             product = product * (SymbolicPolynomial.one(r) + form)
         assert total_chern(x, d) == product.truncate(d)
+
+
+def test_total_chern_matches_gamma_route_on_virtual_inputs():
+    # virtual inputs: negative multiplicities, the zero weight, and
+    # augmentation of either sign
+    for _ in range(40):
+        r = rng.randint(1, 2)
+        x = rand_char(r, max_weights=3)
+        x = x + VirtualCharacter.unit(r) * rng.randint(-3, 1)
+        d = rng.randint(0, 6)
+        expected = SymbolicPolynomial.zero(r)
+        for p in range(d + 1):
+            expected = expected + chern_class(x, p).value
+        assert total_chern(x, d) == expected
 
 
 def test_whitney_formula():
