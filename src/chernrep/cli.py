@@ -100,7 +100,7 @@ def _degree_for(args, x):
     return max(augmentation(x), 0)
 
 
-def _cmd_chern(args, out):
+def _cmd_chern(args, out, err):
     g = parse_group(args.group)
     x = _character_for(args, g)
     d = _degree_for(args, x)
@@ -145,7 +145,7 @@ def _cmd_chern(args, out):
     return 0
 
 
-def _cmd_ch(args, out):
+def _cmd_ch(args, out, err):
     g = parse_group(args.group)
     x = _character_for(args, g)
     d = _degree_for(args, x)
@@ -165,7 +165,7 @@ def _cmd_ch(args, out):
     return 0
 
 
-def _cmd_adams(args, out):
+def _cmd_adams(args, out, err):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     g = parse_group(args.group)
@@ -181,7 +181,7 @@ def _cmd_adams(args, out):
     return 0
 
 
-def _cmd_lambda(args, out):
+def _cmd_lambda(args, out, err):
     if args.p < 0:
         raise UsageError("-p must be >= 0")
     g = parse_group(args.group)
@@ -228,7 +228,7 @@ def _cmd_check_prop(args, out, err):
     return 0
 
 
-def _cmd_rewrite(args, out):
+def _cmd_rewrite(args, out, err):
     g = parse_group(args.group)
     f = parse_polynomial(args.polynomial, g.torus_rank)
     expr = rewrite(f, g)
@@ -246,25 +246,23 @@ def _cmd_rewrite(args, out):
     return 0
 
 
+_COMMANDS = {
+    "chern": _cmd_chern,
+    "ch": _cmd_ch,
+    "adams": _cmd_adams,
+    "lambda": _cmd_lambda,
+    "check-prop": _cmd_check_prop,
+    "rewrite": _cmd_rewrite,
+}
+
+
 def run(argv, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "chern":
-            return _cmd_chern(args, out)
-        if args.command == "ch":
-            return _cmd_ch(args, out)
-        if args.command == "adams":
-            return _cmd_adams(args, out)
-        if args.command == "lambda":
-            return _cmd_lambda(args, out)
-        if args.command == "check-prop":
-            return _cmd_check_prop(args, out, err)
-        if args.command == "rewrite":
-            return _cmd_rewrite(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, out, err)
     except SystemExit as e:  # argparse --help
         return 0 if not e.code else 1
     except (UsageError, ParseError) as e:

@@ -1,8 +1,14 @@
-"""Shared exception types.
+"""Shared exception types, and the size guard behind ModelSizeError.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 ``error[<code>]: message`` uniformly.
 """
+
+from math import comb
+
+# Truncated polynomial spaces (the filtration model, symbol maps and Chern
+# products) are refused beyond this many monomials.
+MODEL_DIM_LIMIT = 20000
 
 
 class ChernRepError(Exception):
@@ -21,6 +27,15 @@ class EnumerationLimitError(ChernRepError):
 
 class ModelSizeError(ChernRepError):
     code = "model-size"
+
+
+def model_dimension(rank, degree):
+    """Number C(rank + degree, rank) of monomials in `rank` variables of
+    total degree <= degree; refused beyond MODEL_DIM_LIMIT before any work."""
+    dim = comb(rank + degree, rank)
+    if dim > MODEL_DIM_LIMIT:
+        raise ModelSizeError(f"model dimension {dim} exceeds limit {MODEL_DIM_LIMIT}")
+    return dim
 
 
 class AugmentationError(ChernRepError):

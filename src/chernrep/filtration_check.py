@@ -10,33 +10,32 @@ through generalized binomials.
 Inside the model two subspaces are built per degree p and compared:
 
   * the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k), sum a_j = p,
-    with the z's running over Weyl-orbit sums of bounded weights (these span
-    the augmentation-zero invariants exactly);
+    with the z's running over Weyl-orbit sums z = sum_b ([b] - [0]) of
+    bounded weights (these span the augmentation-zero invariants exactly).
+    The gamma operations never leave the model: gamma_t([b] - 1) =
+    1 + ([b] - 1)t, so gamma^a(z) is the elementary symmetric function
+    e_a of the images u_b of [b] - [0];
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
-    cut down to the invariants).
+    cut down to the invariants), read off as one kernel: that of the
+    stacked (M_w - 1) over the Weyl generators, on those columns.
 
-All linear algebra is exact: integer echelon forms with canonical rational
-reduced row echelon bases, so subspace equality is literal equality.
+All linear algebra is exact and runs through one routine, an integer
+echelon form with a canonical rational reduced row echelon basis, so
+subspace equality is literal equality and kernels are read off that basis.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
-from .char_ring import VirtualCharacter, binomial, gamma_series
-from .errors import ModelSizeError, ReductionDefectError
+from .char_ring import VirtualCharacter, binomial
+from .errors import ReductionDefectError, model_dimension
 from .weyl import orbit, weyl_generators
-
-MODEL_DIM_LIMIT = 20000
 
 
 def _primitive(vec):
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
+    g = gcd(*vec)
     if g > 1:
         vec = [v // g for v in vec]
     return vec
@@ -77,10 +76,6 @@ class _IntEchelon:
     def extend(self, vectors):
         for v in vectors:
             self.insert(v)
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
     def basis(self):
         return [tuple(self.rows[p]) for p in sorted(self.rows)]
@@ -158,33 +153,19 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _nullspace(rows, ncols):
-    """Kernel basis of the linear map given by equation rows."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        lead = mat[r][c]
-        mat[r] = [v / lead for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(equations, ncols):
+    """Kernel basis of the linear map given by equation rows, read off their
+    reduced row echelon form: one vector per free column."""
+    rref = Subspace.from_vectors(ncols, equations)
+    pivots = set(rref._pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for piv, row in zip(rref._pivots, rref.rows):
+            vec[piv] = -row[free]
         basis.append(vec)
     return basis
 
@@ -196,17 +177,18 @@ class TruncatedAlgebra:
         if d < 1:
             raise ValueError("truncation degree must be >= 1")
         n = group.torus_rank
-        dim = comb(n + d, d)
-        if dim > MODEL_DIM_LIMIT:
-            raise ModelSizeError(
-                f"model dimension {dim} exceeds limit {MODEL_DIM_LIMIT}"
-            )
+        self.dim = model_dimension(n, d)
         self.group = group
         self.d = d
         self.rank = n
         self.monomials = self._enumerate(n, d)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.dim = dim
+        self.degrees = [sum(m) for m in self.monomials]
+        # a monomial's code sum m_i (d+1)^i; codes of a product add without
+        # carry, because no exponent of a basis monomial exceeds d
+        self.codes = [
+            sum(k * (d + 1) ** i for i, k in enumerate(m)) for m in self.monomials
+        ]
+        self.index = {c: j for j, c in enumerate(self.codes)}
 
     @staticmethod
     def _enumerate(n, d):
@@ -220,7 +202,7 @@ class TruncatedAlgebra:
 
     def unit(self):
         vec = self.zero()
-        vec[self.index[(0,) * self.rank]] = 1
+        vec[0] = 1
         return vec
 
     def reduce(self, x):
@@ -230,66 +212,89 @@ class TruncatedAlgebra:
             raise ValueError("character rank does not match the model")
         vec = self.zero()
         for w, mult in x.terms.items():
+            rows = [[binomial(a, k) for k in range(self.d + 1)] for a in w]
             for i, m in enumerate(self.monomials):
-                c = 1
-                for a, k in zip(w, m):
-                    if k:
-                        c *= binomial(a, k)
-                        if c == 0:
-                            break
-                if c:
-                    vec[i] += mult * c
+                c = mult
+                for row, k in zip(rows, m):
+                    c *= row[k]
+                vec[i] += c
         return vec
 
+    def _u(self, b):
+        """Image of [b] - [0]."""
+        return self.reduce(VirtualCharacter(self.rank, {b: 1, (0,) * self.rank: -1}))
+
     def multiply(self, u, v):
+        """Product of two model vectors.  Both supports run in basis order,
+        which is by degree, so the inner walk stops where the degree of the
+        product would pass d."""
         out = [0] * self.dim
-        support_u = [(i, a) for i, a in enumerate(u) if a]
-        support_v = [(j, b) for j, b in enumerate(v) if b]
-        for i, a in support_u:
-            mi = self.monomials[i]
-            for j, b in support_v:
-                key = tuple(x + y for x, y in zip(mi, self.monomials[j]))
-                idx = self.index.get(key)
-                if idx is not None:
-                    out[idx] += a * b
+        index, codes, degrees, d = self.index, self.codes, self.degrees, self.d
+        support_v = [(degrees[j], codes[j], b) for j, b in enumerate(v) if b]
+        if not support_v:
+            return out
+        lowest = support_v[0][0]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            room = d - degrees[i]
+            if room < lowest:
+                break
+            code = codes[i]
+            for deg, c, b in support_v:
+                if deg > room:
+                    break
+                out[index[code + c]] += a * b
         return out
 
-    def action_rows(self, w):
-        """Rows of the matrix of w acting on the model basis."""
-        cols = []
-        for m in self.monomials:
-            char = VirtualCharacter.unit(self.rank)
-            for i, k in enumerate(m):
-                if k:
-                    e = [0] * self.rank
-                    e[i] = 1
-                    beta = w.act(tuple(e))
-                    u_i = VirtualCharacter(
-                        self.rank, {beta: 1, (0,) * self.rank: -1}
-                    )
-                    char = char * u_i**k
-            cols.append(self.reduce(char))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def gammas(self, z):
+        """gamma^0..gamma^d of an orbit sum z = sum_b ([b] - [0]) in the
+        model.  Since gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the
+        elementary symmetric function e_a of the images u_b of [b] - [0],
+        built by the recurrence e_j += e_(j-1) u_b, one weight at a time."""
+        zero = (0,) * self.rank
+        es = [self.unit()] + [self.zero() for _ in range(self.d)]
+        seen = 0
+        for b, mult in z.terms.items():
+            if b == zero:
+                continue
+            if mult != 1:
+                raise ValueError("gammas needs an orbit sum of distinct weights")
+            u = self._u(b)
+            seen += 1
+            for j in range(min(seen, self.d), 0, -1):
+                es[j] = [x + y for x, y in zip(es[j], self.multiply(es[j - 1], u))]
+        return es
 
-    def invariant_subspace(self):
-        """W-invariant vectors, as the joint kernel of (M_w - 1) over the
-        Weyl generators."""
+    def _action_columns(self, w):
+        """Columns of the matrix M_w of w on the basis: the image of a
+        monomial is the product of the images [w.e_i] - [0] of its factors."""
+        n = self.rank
+        units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+        images = [self._u(w.act(e)) for e in units]
+        cols = [self.unit()]
+        for m, code in zip(self.monomials[1:], self.codes[1:]):
+            i = next(k for k, e in enumerate(m) if e)
+            lower = self.index[code - (self.d + 1) ** i]
+            cols.append(self.multiply(cols[lower], images[i]))
+        return cols
+
+    def invariant_subspace(self, p=0):
+        """W-invariant vectors supported on basis monomials of degree >= p:
+        the joint kernel of (M_w - 1) over the Weyl generators, restricted
+        to those columns.  They are a suffix of the basis, and W preserves
+        the degree filtration, so only the rows of the same suffix can be
+        nonzero."""
+        start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
         equations = []
         for w in weyl_generators(self.group):
-            rows = self.action_rows(w)
-            for i, row in enumerate(rows):
-                eq = list(row)
-                eq[i] -= 1
-                if any(eq):
-                    equations.append(eq)
-        if not equations:
-            ech = _IntEchelon(self.dim)
-            for i in range(self.dim):
-                vec = self.zero()
-                vec[i] = 1
-                ech.insert(vec)
-            return ech.to_subspace()
-        return Subspace.from_vectors(self.dim, _nullspace(equations, self.dim))
+            cols = self._action_columns(w)[start:]
+            for i in range(start, self.dim):
+                eq = [col[i] for col in cols]
+                eq[i - start] -= 1
+                equations.append(eq)
+        kernel = _kernel(equations, self.dim - start)
+        return Subspace.from_vectors(self.dim, [[0] * start + v for v in kernel])
 
 
 def truncated_model(g, d):
@@ -303,16 +308,16 @@ def orbit_sum_generators(g, bound):
     boxes = [()]
     for _ in range(n):
         boxes = [b + (k,) for b in boxes for k in range(-bound, bound + 1)]
-    gens = []
     zero = (0,) * n
+    seen = {zero}
+    gens = []
     for a in boxes:
-        if a == zero:
+        if a in seen:
             continue
         orb = orbit(g, a)
-        if a != max(orb):
-            continue
+        seen |= orb
         terms = {b: 1 for b in orb}
-        terms[zero] = terms.get(zero, 0) - len(orb)
+        terms[zero] = -len(orb)
         gens.append(VirtualCharacter(n, terms))
     return gens
 
@@ -321,23 +326,23 @@ class _PropContext:
     """Shared state for the per-degree subspace computations."""
 
     def __init__(self, g, d, bound=None):
-        self.group = g
         self.model = TruncatedAlgebra(g, d)
-        self.bound = d if bound is None else bound
-        self.generators = orbit_sum_generators(g, self.bound)
-        self._gamma_spans = {}
+        self.generators = orbit_sum_generators(g, d if bound is None else bound)
+        self._gamma_spans = None
         self._product_spans = {}
-        self._invariant = None
 
     def gamma_span(self, a):
-        """Echelon basis of span{gamma^a(z) : z an orbit-sum generator}."""
-        if a not in self._gamma_spans:
-            ech = _IntEchelon(self.model.dim)
+        """Echelon basis of span{gamma^a(z) : z an orbit-sum generator}.
+        All degrees a <= d are built in one pass over the generators; beyond
+        d every gamma^a(z) lies in r^(d+1) and vanishes."""
+        model = self.model
+        if self._gamma_spans is None:
+            spans = [_IntEchelon(model.dim) for _ in range(model.d + 1)]
             for z in self.generators:
-                val = gamma_series(z, a).coefficient(a)
-                ech.insert(self.model.reduce(val))
-            self._gamma_spans[a] = ech
-        return self._gamma_spans[a]
+                for ech, value in zip(spans[1:], model.gammas(z)[1:]):
+                    ech.insert(value)
+            self._gamma_spans = spans
+        return self._gamma_spans[a] if a <= model.d else _IntEchelon(model.dim)
 
     def product_span(self, p):
         """Echelon basis of the image of Gamma^p(S): products of gamma
@@ -356,11 +361,6 @@ class _PropContext:
             self._product_spans[p] = ech
         return self._product_spans[p]
 
-    def invariant_subspace(self):
-        if self._invariant is None:
-            self._invariant = self.model.invariant_subspace()
-        return self._invariant
-
     def gamma_subspace(self, p):
         if p == 0:
             ech = _IntEchelon(self.model.dim)
@@ -368,24 +368,6 @@ class _PropContext:
             ech.extend(self.product_span(1).basis())
             return ech.to_subspace()
         return self.product_span(p).to_subspace()
-
-    def ambient_cap_subspace(self, p):
-        inv = self.invariant_subspace()
-        if p == 0:
-            return inv
-        low = [i for i, m in enumerate(self.model.monomials) if sum(m) < p]
-        if not inv.rows:
-            return inv
-        equations = [[row[j] for row in inv.rows] for j in low]
-        combos = _nullspace(equations, inv.dim)
-        vectors = []
-        for c in combos:
-            vec = [Fraction(0)] * self.model.dim
-            for coeff, row in zip(c, inv.rows):
-                if coeff:
-                    vec = [a + coeff * b for a, b in zip(vec, row)]
-            vectors.append(vec)
-        return Subspace.from_vectors(self.model.dim, vectors)
 
 
 def gamma_subspace_invariant(g, p, d, bound=None):
@@ -397,7 +379,7 @@ def gamma_subspace_invariant(g, p, d, bound=None):
 def gamma_subspace_ambient_cap_invariant(g, p, d):
     """Image of (ambient filtration degree p) intersected with the
     invariants: W-invariant vectors supported in basis degrees >= p."""
-    return _PropContext(g, d).ambient_cap_subspace(p)
+    return TruncatedAlgebra(g, d).invariant_subspace(p)
 
 
 @dataclass(frozen=True)
@@ -444,7 +426,7 @@ def verify_prop(g, p_max, d, bound=None):
     entries = []
     for p in range(p_max + 1):
         s_side = ctx.gamma_subspace(p)
-        ambient = ctx.ambient_cap_subspace(p)
+        ambient = ctx.model.invariant_subspace(p)
         if not ambient.contains_subspace(s_side):
             raise ReductionDefectError(
                 f"Gamma^{p}(S) not inside Gamma^{p}(R) cap S at degree {d}: "

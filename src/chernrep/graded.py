@@ -20,7 +20,12 @@ from itertools import islice
 from math import factorial
 
 from .char_ring import VirtualCharacter, augmentation, binomial, gamma_series
-from .errors import AugmentationError, FiltrationCapError, RankMismatchError
+from .errors import (
+    AugmentationError,
+    FiltrationCapError,
+    RankMismatchError,
+    model_dimension,
+)
 
 BEYOND_CAP = "beyond-cap"
 
@@ -31,6 +36,45 @@ def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
+
+
+def _terms_text(terms, order, var):
+    """Signed sum of exponent -> Fraction terms, listed in the given order,
+    with variables named var1, var2, ...; "0" when there are none."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in order:
+        c = terms[e]
+        factors = []
+        for i, k in enumerate(e):
+            if k == 1:
+                factors.append(f"{var}{i + 1}")
+            elif k > 1:
+                factors.append(f"{var}{i + 1}^{k}")
+        mag = abs(c)
+        if factors:
+            body = "*".join(factors)
+            text = body if mag == 1 else f"{mag}*{body}"
+        else:
+            text = str(mag)
+        if not parts:
+            parts.append(text if c > 0 else "-" + text)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + text)
+    return " ".join(parts)
+
+
+def _terms_json(terms, order):
+    """JSON form of exponent -> Fraction terms, listed in the given order."""
+    return [
+        {
+            "exponents": list(e),
+            "numerator": terms[e].numerator,
+            "denominator": terms[e].denominator,
+        }
+        for e in order
+    ]
 
 
 class SymbolicPolynomial:
@@ -220,38 +264,10 @@ class SymbolicPolynomial:
         return sorted(self.terms, key=lambda e: (sum(e), tuple(-k for k in e)))
 
     def to_text(self, var="x"):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in self._ordered_exps():
-            c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"{var}{i + 1}")
-                elif k > 1:
-                    factors.append(f"{var}{i + 1}^{k}")
-            mag = abs(c)
-            if factors:
-                body = "*".join(factors)
-                text = body if mag == 1 else f"{mag}*{body}"
-            else:
-                text = str(mag)
-            if not parts:
-                parts.append(text if c > 0 else "-" + text)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + text)
-        return " ".join(parts)
+        return _terms_text(self.terms, self._ordered_exps(), var)
 
     def to_json_obj(self):
-        return [
-            {
-                "exponents": list(e),
-                "numerator": self.terms[e].numerator,
-                "denominator": self.terms[e].denominator,
-            }
-            for e in self._ordered_exps()
-        ]
+        return _terms_json(self.terms, self._ordered_exps())
 
     def __str__(self):
         return self.to_text()
@@ -345,6 +361,7 @@ def symbol_map(x, d):
     so the degree-k component is sum_a m_a La^k / k!."""
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
+    model_dimension(x.rank, d)
     terms = {}
     for k, numerators in zip(range(d + 1), _symbol_numerators(x)):
         terms.update(_component(numerators, k))
@@ -412,10 +429,14 @@ def total_chern(x, d):
     product over the nonzero weights a of (1 + La)^(m_a), truncated at
     degree d.  Each factor is the generalized binomial series
     sum_k C(m_a, k) La^k, which stops at k = m_a when m_a >= 0 and is the
-    truncated inverse power when m_a < 0."""
+    truncated inverse power when m_a < 0.  Its degree is at most d, and at
+    most the sum of the m_a when none is negative; the monomials up to that
+    degree are counted against the model-size limit before any work."""
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
     rank = x.rank
+    mults = [m for w, m in x.terms.items() if any(w)]
+    model_dimension(rank, d if any(m < 0 for m in mults) else min(d, sum(mults)))
     one = {(0,) * rank: 1}
     parts = {0: one}  # homogeneous parts of the product, by degree
     for w in sorted(x.terms):

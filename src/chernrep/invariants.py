@@ -22,7 +22,7 @@ from .errors import (
     RankMismatchError,
     ReductionDefectError,
 )
-from .graded import SymbolicPolynomial
+from .graded import SymbolicPolynomial, _terms_json, _terms_text
 from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, weyl_elements, weyl_generators
 
 
@@ -146,61 +146,33 @@ class GeneratorExpression:
             terms[e] = terms.get(e, Fraction(0)) + c
         return GeneratorExpression(self.group, terms)
 
-    def _ordered_exps(self):
+    def _degree_of(self):
+        """Weighted degree of a generator monomial, with the generator
+        degrees read once."""
         degrees = [d for _, _, d in generator_definitions(self.group)]
-        return sorted(
-            self.terms,
-            key=lambda e: (
-                sum(k * d for k, d in zip(e, degrees)),
-                tuple(-k for k in e),
-            ),
-        )
+        return lambda e: sum(k * d for k, d in zip(e, degrees))
+
+    def _ordered_exps(self):
+        degree = self._degree_of()
+        return sorted(self.terms, key=lambda e: (degree(e), tuple(-k for k in e)))
 
     def weighted_degree(self, exps):
         """Total polynomial degree of a generator monomial."""
-        degrees = [d for _, _, d in generator_definitions(self.group)]
-        return sum(k * d for k, d in zip(exps, degrees))
+        return self._degree_of()(exps)
 
     def leading_term(self):
         """Term of highest polynomial degree, as (exponents, coefficient)."""
         if not self.terms:
             return None
-        e = max(self.terms, key=lambda e: (self.weighted_degree(e), e))
+        degree = self._degree_of()
+        e = max(self.terms, key=lambda e: (degree(e), e))
         return e, self.terms[e]
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in self._ordered_exps():
-            c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"I{i + 1}")
-                elif k > 1:
-                    factors.append(f"I{i + 1}^{k}")
-            mag = abs(c)
-            if factors:
-                body = "*".join(factors)
-                text = body if mag == 1 else f"{mag}*{body}"
-            else:
-                text = str(mag)
-            if not parts:
-                parts.append(text if c > 0 else "-" + text)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + text)
-        return " ".join(parts)
+        return _terms_text(self.terms, self._ordered_exps(), "I")
 
     def to_json_obj(self):
-        return [
-            {
-                "exponents": list(e),
-                "numerator": self.terms[e].numerator,
-                "denominator": self.terms[e].denominator,
-            }
-            for e in self._ordered_exps()
-        ]
+        return _terms_json(self.terms, self._ordered_exps())
 
     def __str__(self):
         return self.to_text()

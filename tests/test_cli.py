@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import chernrep.cli as cli
 from chernrep.filtration_check import PropEntry, PropReport
@@ -47,6 +48,20 @@ def test_chern_huge_max_degree():
     code, out, _ = run_cli(["chern", "GL2", "std", "--max-degree", "100000000"])
     assert code == 0
     assert out.strip() == "1 + x1 + x2 + x1*x2"
+
+
+def test_unbounded_degree_is_refused_before_any_work():
+    # Both would build every degree up to 10^8: ch always, and chern once a
+    # multiplicity is negative (the inverse series never stops).
+    for argv in (
+        ["ch", "GL2", "std", "--max-degree", "100000000"],
+        ["chern", "T1", "weights[[0]] - weights[[1]]", "--max-degree", "100000000"],
+    ):
+        start = time.monotonic()
+        code, out, err = run_cli(argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error[model-size]: ")
 
 
 def test_ch_output():

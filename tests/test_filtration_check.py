@@ -1,8 +1,10 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from chernrep.char_ring import VirtualCharacter
+from chernrep.char_ring import VirtualCharacter, gamma_series
 from chernrep.errors import ModelSizeError
 from chernrep.filtration_check import (
     Subspace,
@@ -12,7 +14,16 @@ from chernrep.filtration_check import (
     truncated_model,
     verify_prop,
 )
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
+from chernrep.weyl import (
+    GL,
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    TORUS,
+    GroupSpec,
+    orbit,
+    weyl_generators,
+)
 
 rng = random.Random(31337)
 
@@ -175,3 +186,93 @@ def test_generator_bound_stability_small():
         assert gamma_subspace_invariant(g, p, 3) == gamma_subspace_invariant(
             g, p, 3, bound=4
         )
+
+
+def test_orbit_sum_generators_one_per_orbit():
+    for family, rank in [(GL, 3), (SP, 2), (SO_ODD, 2), (SO_EVEN, 3)]:
+        g = GroupSpec(family, rank)
+        supports = [
+            frozenset(b for b in z.terms if any(b)) for z in orbit_sum_generators(g, 2)
+        ]
+        expected = {
+            frozenset(orbit(g, a))
+            for a in itertools.product(range(-2, 3), repeat=rank)
+            if any(a) and a == max(orbit(g, a))
+        }
+        assert len(supports) == len(expected)
+        assert set(supports) == expected
+
+
+def test_gammas_match_gamma_series():
+    """The model's e_a(u_b) against the character-side gamma operation."""
+    for family in (GL, SP, SO_EVEN):
+        g = GroupSpec(family, 2)
+        for d in range(1, 5):
+            model = truncated_model(g, d)
+            for z in orbit_sum_generators(g, d):
+                es = model.gammas(z)
+                for a in range(d + 1):
+                    assert es[a] == model.reduce(gamma_series(z, a).coefficient(a))
+
+
+def action_columns(model, w):
+    """Columns of M_w built on the character side: the image of the basis
+    monomial u^m is the reduction of prod_i ([w.e_i] - [0])^(m_i)."""
+    n = model.rank
+    zero = (0,) * n
+    cols = []
+    for m in model.monomials:
+        char = VirtualCharacter.unit(n)
+        for i, k in enumerate(m):
+            if k:
+                e = tuple(int(j == i) for j in range(n))
+                char = char * V(n, {w.act(e): 1, zero: -1}) ** k
+        cols.append(model.reduce(char))
+    return cols
+
+
+# dim of invariant_subspace(p) for p = 0..d+1
+INVARIANT_DIMS = {
+    (GL, 1): [2, 1, 0],
+    (GL, 2): [4, 3, 2, 0],
+    (GL, 3): [6, 5, 4, 2, 0],
+    (GL, 4): [9, 8, 7, 5, 3, 0],
+    (SP, 1): [1, 0, 0],
+    (SP, 2): [2, 1, 1, 0],
+    (SP, 3): [2, 1, 1, 0, 0],
+    (SP, 4): [4, 3, 3, 2, 2, 0],
+    (SO_EVEN, 1): [1, 0, 0],
+    (SO_EVEN, 2): [3, 2, 2, 0],
+    (SO_EVEN, 3): [3, 2, 2, 0, 0],
+    (SO_EVEN, 4): [6, 5, 5, 3, 3, 0],
+    (SO_ODD, 1): [1, 0, 0],
+    (SO_ODD, 2): [2, 1, 1, 0],
+    (SO_ODD, 3): [2, 1, 1, 0, 0],
+    (SO_ODD, 4): [4, 3, 3, 2, 2, 0],
+}
+
+
+def test_invariant_subspace_by_degree():
+    for (family, d), dims in INVARIANT_DIMS.items():
+        g = GroupSpec(family, 2)
+        model = truncated_model(g, d)
+        matrices = [action_columns(model, w) for w in weyl_generators(g)]
+        for p, dim in enumerate(dims):
+            sub = model.invariant_subspace(p)
+            assert sub.dim == dim
+            for row in sub.rows:
+                assert not any(c for c, k in zip(row, model.degrees) if k < p)
+                for cols in matrices:
+                    image = [
+                        sum(v * col[i] for v, col in zip(row, cols))
+                        for i in range(model.dim)
+                    ]
+                    assert image == list(row)
+
+
+def test_verify_prop_rank_three_and_four_at_degree_four():
+    start = time.monotonic()
+    for g in (GroupSpec(GL, 4), GroupSpec(SP, 3), GroupSpec(SO_EVEN, 4)):
+        report = verify_prop(g, 4, 4)
+        assert report.passed, report.to_json_obj()
+    assert time.monotonic() - start < 60.0
