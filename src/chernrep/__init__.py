@@ -9,8 +9,6 @@ from .char_ring import (
     augmentation,
     gamma_series,
     lambda_series,
-    ring_add,
-    ring_mul,
 )
 from .errors import ChernRepError
 from .filtration_check import (
@@ -19,12 +17,10 @@ from .filtration_check import (
     TruncatedAlgebra,
     gamma_subspace_ambient_cap_invariant,
     gamma_subspace_invariant,
-    truncated_model,
     verify_prop,
 )
 from .graded import (
     BEYOND_CAP,
-    GradedClass,
     SymbolicPolynomial,
     chern_character,
     chern_class,
@@ -53,7 +49,6 @@ from .reps import assert_g_rep, dual, exterior, standard, symmetric
 from .weyl import (
     GroupSpec,
     SignedPermutation,
-    act,
     orbit,
     weyl_elements,
     weyl_generators,
@@ -65,7 +60,6 @@ __all__ = [
     "CharSeries",
     "ChernRepError",
     "GeneratorExpression",
-    "GradedClass",
     "GroupSpec",
     "PropReport",
     "SignedPermutation",
@@ -73,7 +67,6 @@ __all__ = [
     "SymbolicPolynomial",
     "TruncatedAlgebra",
     "VirtualCharacter",
-    "act",
     "adams",
     "adams_via_series",
     "assert_g_rep",
@@ -99,14 +92,11 @@ __all__ = [
     "parse_rep",
     "rep_to_character",
     "rewrite",
-    "ring_add",
-    "ring_mul",
     "standard",
     "symbol_map",
     "symmetric",
     "symmetrize",
     "total_chern",
-    "truncated_model",
     "verify_prop",
     "weyl_elements",
     "weyl_generators",

@@ -55,10 +55,6 @@ class VirtualCharacter:
         return cls(rank, {(0,) * rank: 1})
 
     @classmethod
-    def of_weight(cls, coords):
-        return cls(len(coords), {tuple(coords): 1})
-
-    @classmethod
     def from_weights(cls, rank, weights):
         terms = {}
         for w in weights:
@@ -158,14 +154,6 @@ class VirtualCharacter:
 
     def __repr__(self):
         return f"VirtualCharacter({self.rank}, {self.terms!r})"
-
-
-def ring_add(x, y):
-    return x + y
-
-
-def ring_mul(x, y):
-    return x * y
 
 
 def augmentation(x):

@@ -20,14 +20,15 @@ Inside the model two subspaces are built per degree p and compared:
     cut down to the invariants), read off as one kernel: that of the
     stacked (M_w - 1) over the Weyl generators, on those columns.
 
-All linear algebra is exact and runs through one routine, an integer
-echelon form with a canonical rational reduced row echelon basis, so
-subspace equality is literal equality and kernels are read off that basis.
+All linear algebra is exact and runs through one fraction-free routine in
+integers: a subspace is kept as its reduced row echelon form with primitive
+integer rows and positive pivots, which is canonical, so subspace equality
+is literal equality and kernels are read off that form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .char_ring import VirtualCharacter, binomial
 from .errors import ReductionDefectError, model_dimension
@@ -35,118 +36,90 @@ from .weyl import orbit, weyl_generators
 
 
 def _primitive(vec):
+    """vec divided by the gcd of its entries and signed so that its first
+    nonzero entry is positive."""
     g = gcd(*vec)
-    if g > 1:
-        vec = [v // g for v in vec]
-    return vec
-
-
-class _IntEchelon:
-    """Incremental integer row echelon accumulator."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = {}  # pivot column -> primitive integer row
-
-    def insert(self, vec):
-        """Reduce vec against the current rows; returns True if it enlarged
-        the span."""
-        vec = list(vec)
-        if any(isinstance(v, Fraction) for v in vec):
-            scale = 1
-            for v in vec:
-                if isinstance(v, Fraction):
-                    scale = scale * v.denominator // gcd(scale, v.denominator)
-            vec = [int(v * scale) for v in vec]
-        for j in range(self.dim):
-            b = vec[j]
-            if not b:
-                continue
-            row = self.rows.get(j)
-            if row is None:
-                vec = _primitive(vec)
-                if vec[j] < 0:
-                    vec = [-v for v in vec]
-                self.rows[j] = vec
-                return True
-            a = row[j]
-            vec = _primitive([v * a - r * b for v, r in zip(vec, row)])
-        return False
-
-    def extend(self, vectors):
-        for v in vectors:
-            self.insert(v)
-
-    def basis(self):
-        return [tuple(self.rows[p]) for p in sorted(self.rows)]
-
-    def to_subspace(self):
-        pivots = sorted(self.rows)
-        rows = [[Fraction(v) for v in self.rows[p]] for p in pivots]
-        for i in range(len(rows) - 1, -1, -1):
-            piv = pivots[i]
-            lead = rows[i][piv]
-            rows[i] = [v / lead for v in rows[i]]
-            for k in range(i):
-                c = rows[k][piv]
-                if c:
-                    rows[k] = [a - c * b for a, b in zip(rows[k], rows[i])]
-        return Subspace(self.dim, tuple(tuple(r) for r in rows))
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return [v // g for v in vec] if g != 1 else vec
 
 
 class Subspace:
-    """Subspace of Q^dim with a canonical reduced-row-echelon basis."""
+    """Subspace of Q^dim in canonical form: the reduced row echelon basis,
+    each row scaled to a primitive integer vector with a positive pivot.
+    Elimination is fraction-free, so it runs in integers throughout, and
+    equal subspaces have equal rows."""
 
-    __slots__ = ("ambient_dim", "rows", "_pivots")
+    __slots__ = ("ambient_dim", "_rows")
 
-    def __init__(self, ambient_dim, rows):
-        pivots = []
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("row length mismatch")
-            p = next((j for j, v in enumerate(row) if v), None)
-            if p is None:
-                raise ValueError("zero row in a subspace basis")
-            pivots.append(p)
-        if pivots != sorted(set(pivots)):
-            raise ValueError("rows are not in echelon order")
+    def __init__(self, ambient_dim):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", tuple(tuple(map(Fraction, r)) for r in rows))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_rows", {})  # pivot column -> row
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        ech = _IntEchelon(ambient_dim)
-        ech.extend(vectors)
-        return ech.to_subspace()
+        space = cls(ambient_dim)
+        for vec in vectors:
+            space._insert(vec)
+        return space
+
+    def _reduce(self, vec):
+        """vec with every pivot column cleared by the rows, scaled by
+        nonzero integers on the way; zero exactly when vec is in the span.
+        Each row is zero in the other pivot columns, so the order of the
+        steps does not matter."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError("row length mismatch")
+        vec = list(vec)
+        for piv, row in self._rows.items():
+            b = vec[piv]
+            if b:
+                a = row[piv]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                vec = [a * v - b * r for v, r in zip(vec, row)]
+        return vec
+
+    def _insert(self, vec):
+        """Add vec to the span while building; the new pivot column is then
+        cleared from the other rows, which keeps the form reduced."""
+        vec = self._reduce(vec)
+        piv = next((j for j, v in enumerate(vec) if v), None)
+        if piv is None:
+            return
+        vec = _primitive(vec)
+        b = vec[piv]
+        rows = self._rows
+        for p, row in rows.items():
+            c = row[piv]
+            if c:
+                g = gcd(b, c)
+                row = [b // g * r - c // g * v for r, v in zip(row, vec)]
+                rows[p] = _primitive(row)
+        rows[piv] = vec
+
+    @property
+    def rows(self):
+        return tuple(tuple(self._rows[p]) for p in sorted(self._rows))
 
     @property
     def dim(self):
-        return len(self.rows)
-
-    def residue(self, vec):
-        """Remainder of vec after reduction by the basis."""
-        vec = [Fraction(v) for v in vec]
-        for piv, row in zip(self._pivots, self.rows):
-            c = vec[piv]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
+        return len(self._rows)
 
     def contains(self, vec):
-        return not any(self.residue(vec))
+        return not any(self._reduce(vec))
 
     def contains_subspace(self, other):
-        return all(self.contains(row) for row in other.rows)
+        return all(self.contains(row) for row in other._rows.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -154,18 +127,19 @@ class Subspace:
 
 
 def _kernel(equations, ncols):
-    """Kernel basis of the linear map given by equation rows, read off their
-    reduced row echelon form: one vector per free column."""
-    rref = Subspace.from_vectors(ncols, equations)
-    pivots = set(rref._pivots)
+    """Integer kernel basis of the linear map given by equation rows, read
+    off their canonical form: for each free column f, the vector with L,
+    the lcm of the pivots, at f and -row[f] L / row[piv] at each pivot."""
+    form = Subspace.from_vectors(ncols, equations)
+    lead = lcm(*(row[piv] for piv, row in form._rows.items()))
     basis = []
     for free in range(ncols):
-        if free in pivots:
+        if free in form._rows:
             continue
         vec = [0] * ncols
-        vec[free] = 1
-        for piv, row in zip(rref._pivots, rref.rows):
-            vec[piv] = -row[free]
+        vec[free] = lead
+        for piv, row in form._rows.items():
+            vec[piv] = -row[free] * lead // row[piv]
         basis.append(vec)
     return basis
 
@@ -247,13 +221,15 @@ class TruncatedAlgebra:
                 out[index[code + c]] += a * b
         return out
 
-    def gammas(self, z):
-        """gamma^0..gamma^d of an orbit sum z = sum_b ([b] - [0]) in the
-        model.  Since gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the
-        elementary symmetric function e_a of the images u_b of [b] - [0],
-        built by the recurrence e_j += e_(j-1) u_b, one weight at a time."""
+    def gammas(self, z, top=None):
+        """gamma^0..gamma^top (top = d by default) of an orbit sum
+        z = sum_b ([b] - [0]) in the model.  Since
+        gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the elementary
+        symmetric function e_a of the images u_b of [b] - [0], built by the
+        recurrence e_j += e_(j-1) u_b, one weight at a time."""
+        top = self.d if top is None else min(top, self.d)
         zero = (0,) * self.rank
-        es = [self.unit()] + [self.zero() for _ in range(self.d)]
+        es = [self.unit()] + [self.zero() for _ in range(top)]
         seen = 0
         for b, mult in z.terms.items():
             if b == zero:
@@ -262,7 +238,7 @@ class TruncatedAlgebra:
                 raise ValueError("gammas needs an orbit sum of distinct weights")
             u = self._u(b)
             seen += 1
-            for j in range(min(seen, self.d), 0, -1):
+            for j in range(min(seen, top), 0, -1):
                 es[j] = [x + y for x, y in zip(es[j], self.multiply(es[j - 1], u))]
         return es
 
@@ -297,10 +273,6 @@ class TruncatedAlgebra:
         return Subspace.from_vectors(self.dim, [[0] * start + v for v in kernel])
 
 
-def truncated_model(g, d):
-    return TruncatedAlgebra(g, d)
-
-
 def orbit_sum_generators(g, bound):
     """Augmentation-zero orbit sums over weights with coordinates in
     [-bound, bound]; exactly one per Weyl orbit."""
@@ -323,57 +295,58 @@ def orbit_sum_generators(g, bound):
 
 
 class _PropContext:
-    """Shared state for the per-degree subspace computations."""
+    """Shared state for the per-degree subspace computations, which read
+    gamma spans of degree at most top (p = 0 reads degree 1)."""
 
-    def __init__(self, g, d, bound=None):
+    def __init__(self, g, d, bound=None, top=None):
         self.model = TruncatedAlgebra(g, d)
         self.generators = orbit_sum_generators(g, d if bound is None else bound)
+        self.top = d if top is None else min(max(top, 1), d)
         self._gamma_spans = None
         self._product_spans = {}
 
     def gamma_span(self, a):
-        """Echelon basis of span{gamma^a(z) : z an orbit-sum generator}.
-        All degrees a <= d are built in one pass over the generators; beyond
-        d every gamma^a(z) lies in r^(d+1) and vanishes."""
+        """span{gamma^a(z) : z an orbit-sum generator}, for a <= top.  All
+        degrees through top are built in one pass over the generators;
+        beyond d every gamma^a(z) lies in r^(d+1) and vanishes."""
         model = self.model
+        if a > model.d:
+            return Subspace(model.dim)
         if self._gamma_spans is None:
-            spans = [_IntEchelon(model.dim) for _ in range(model.d + 1)]
+            spans = [Subspace(model.dim) for _ in range(self.top + 1)]
             for z in self.generators:
-                for ech, value in zip(spans[1:], model.gammas(z)[1:]):
-                    ech.insert(value)
+                for span, value in zip(spans[1:], model.gammas(z, self.top)[1:]):
+                    span._insert(value)
             self._gamma_spans = spans
-        return self._gamma_spans[a] if a <= model.d else _IntEchelon(model.dim)
+        return self._gamma_spans[a]
 
     def product_span(self, p):
-        """Echelon basis of the image of Gamma^p(S): products of gamma
-        operations of total weight p applied to orbit-sum generators."""
+        """The image of Gamma^p(S): products of gamma operations of total
+        weight p applied to orbit-sum generators."""
         if p == 0:
             raise ValueError("product spans start at p = 1")
         if p not in self._product_spans:
-            ech = _IntEchelon(self.model.dim)
-            ech.extend(self.gamma_span(p).basis())
+            span = Subspace.from_vectors(self.model.dim, self.gamma_span(p).rows)
             for a in range(1, p):
-                left = self.gamma_span(a).basis()
-                right = self.product_span(p - a).basis()
-                for u in left:
+                right = self.product_span(p - a).rows
+                for u in self.gamma_span(a).rows:
                     for v in right:
-                        ech.insert(self.model.multiply(u, v))
-            self._product_spans[p] = ech
+                        span._insert(self.model.multiply(u, v))
+            self._product_spans[p] = span
         return self._product_spans[p]
 
     def gamma_subspace(self, p):
         if p == 0:
-            ech = _IntEchelon(self.model.dim)
-            ech.insert(self.model.unit())
-            ech.extend(self.product_span(1).basis())
-            return ech.to_subspace()
-        return self.product_span(p).to_subspace()
+            return Subspace.from_vectors(
+                self.model.dim, [self.model.unit(), *self.product_span(1).rows]
+            )
+        return self.product_span(p)
 
 
 def gamma_subspace_invariant(g, p, d, bound=None):
     """Image in the truncated model of the degree-p piece of the gamma
     filtration of the invariant subring."""
-    return _PropContext(g, d, bound).gamma_subspace(p)
+    return _PropContext(g, d, bound, top=p).gamma_subspace(p)
 
 
 def gamma_subspace_ambient_cap_invariant(g, p, d):
@@ -389,8 +362,6 @@ class PropEntry:
     dim_gamma_R_cap_S: int
     equal: bool
     witnesses: tuple = ()
-    gamma_S: Subspace | None = None
-    gamma_R_cap_S: Subspace | None = None
 
 
 @dataclass(frozen=True)
@@ -422,7 +393,7 @@ def verify_prop(g, p_max, d, bound=None):
     with the restricted ambient one.  The inclusion of the former in the
     latter must hold outright; equality failures are reported with the
     offending ambient basis vectors."""
-    ctx = _PropContext(g, d, bound)
+    ctx = _PropContext(g, d, bound, top=p_max)
     entries = []
     for p in range(p_max + 1):
         s_side = ctx.gamma_subspace(p)
@@ -433,14 +404,13 @@ def verify_prop(g, p_max, d, bound=None):
                 "the filtration inclusion failed, which indicates a defect"
             )
         equal = s_side == ambient
-        witnesses = ()
-        if not equal:
-            witnesses = tuple(
-                row for row in ambient.rows if not s_side.contains(row)
-            )
-        entries.append(
-            PropEntry(p, s_side.dim, ambient.dim, equal, witnesses, s_side, ambient)
+        # witnesses are reported as rational rows with pivot 1
+        witnesses = tuple(
+            tuple(Fraction(v, next(c for c in row if c)) for v in row)
+            for row in ambient.rows
+            if not equal and not s_side.contains(row)
         )
+        entries.append(PropEntry(p, s_side.dim, ambient.dim, equal, witnesses))
     return PropReport(
         group=str(g),
         d=d,

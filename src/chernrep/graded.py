@@ -207,19 +207,6 @@ class SymbolicPolynomial:
             self.rank, {e: c for e, c in self.terms.items() if sum(e) == p}
         )
 
-    def homogeneous_split(self):
-        """Map degree -> homogeneous component, only nonzero ones."""
-        parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {
-            p: SymbolicPolynomial(self.rank, terms)
-            for p, terms in sorted(parts.items())
-        }
-
-    def is_homogeneous(self, p):
-        return all(sum(e) == p for e in self.terms)
-
     def truncate(self, d):
         return SymbolicPolynomial(
             self.rank, {e: c for e, c in self.terms.items() if sum(e) <= d}
@@ -274,31 +261,6 @@ class SymbolicPolynomial:
 
     def __repr__(self):
         return f"SymbolicPolynomial({self.rank}, {self.terms!r})"
-
-
-class GradedClass:
-    """A homogeneous polynomial explicitly tagged with its degree."""
-
-    __slots__ = ("degree", "value")
-
-    def __init__(self, degree, value):
-        if not value.is_homogeneous(degree):
-            raise ValueError(f"value is not homogeneous of degree {degree}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedClass is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedClass)
-            and self.degree == other.degree
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return f"GradedClass({self.degree}, {self.value!r})"
 
 
 def _form(coords):
@@ -391,7 +353,9 @@ def filtration_degree(x, cap):
 
 
 def leading_class(x, cap=None):
-    """The class of x in gr: its lowest nonvanishing symbol component.
+    """The class of x in gr: its lowest nonvanishing symbol component, a
+    homogeneous polynomial whose degree (`total_degree()`) is the filtration
+    degree of x.
 
     Requires eps(x) = 0; raises FiltrationCapError past the cap (for x = 0
     there is no leading class at any cap).
@@ -403,13 +367,13 @@ def leading_class(x, cap=None):
     lowest = _lowest_component(x, cap)
     if lowest is None:
         raise FiltrationCapError(f"no nonzero component up to degree {cap}")
-    p, component = lowest
-    return GradedClass(p, SymbolicPolynomial(x.rank, component))
+    return SymbolicPolynomial(x.rank, lowest[1])
 
 
 def chern_class(x, p):
     """c_p(x): the degree-p component of the symbol of gamma^p(x - eps(x)),
-    i.e. its class in the p-th graded piece; c_0 = 1.
+    i.e. its class in the p-th graded piece, a homogeneous polynomial of
+    degree p or zero; c_0 = 1.
 
     This is the definition by gamma operations; `total_chern` computes the
     same classes by the splitting principle."""
@@ -417,11 +381,11 @@ def chern_class(x, p):
         raise ValueError("chern class degree must be >= 0")
     rank = x.rank
     if p == 0:
-        return GradedClass(0, SymbolicPolynomial.one(rank))
+        return SymbolicPolynomial.one(rank)
     reduced = x - VirtualCharacter.unit(rank) * augmentation(x)
     g = gamma_series(reduced, p).coefficient(p)
     numerators = next(islice(_symbol_numerators(g), p, None))
-    return GradedClass(p, SymbolicPolynomial(rank, _component(numerators, p)))
+    return SymbolicPolynomial(rank, _component(numerators, p))
 
 
 def total_chern(x, d):

@@ -156,10 +156,6 @@ class GeneratorExpression:
         degree = self._degree_of()
         return sorted(self.terms, key=lambda e: (degree(e), tuple(-k for k in e)))
 
-    def weighted_degree(self, exps):
-        """Total polynomial degree of a generator monomial."""
-        return self._degree_of()(exps)
-
     def leading_term(self):
         """Term of highest polynomial degree, as (exponents, coefficient)."""
         if not self.terms:

@@ -112,10 +112,6 @@ class SignedPermutation:
         return SignedPermutation(tuple(inv), signs)
 
 
-def act(w, a):
-    return w.act(a)
-
-
 def weyl_order(g):
     n = g.rank
     if g.family in (TORUS,):

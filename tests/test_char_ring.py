@@ -11,8 +11,6 @@ from chernrep.char_ring import (
     binomial,
     gamma_series,
     lambda_series,
-    ring_add,
-    ring_mul,
 )
 from chernrep.errors import RankMismatchError
 
@@ -45,7 +43,7 @@ def test_add_examples():
     std = V(2, {(1, 0): 1, (0, 1): 1})
     assert V(2, {(1, 0): 1}) + V(2, {(0, 1): 1}) == std
     assert std + V(2, {(1, 0): 1}) == V(2, {(1, 0): 2, (0, 1): 1})
-    assert ring_add(a, a) == a * 2
+    assert a + a == a * 2
 
 
 def test_mul_examples():
@@ -55,7 +53,7 @@ def test_mul_examples():
     std = V(2, {(1, 0): 1, (0, 1): 1})
     assert std * V(2, {(1, 0): 1}) == V(2, {(2, 0): 1, (1, 1): 1})
     x = rand_char(2)
-    assert ring_mul(x, VirtualCharacter.unit(2)) == x
+    assert x * VirtualCharacter.unit(2) == x
 
 
 def test_ring_axioms_random():

@@ -1,17 +1,23 @@
+import io
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from chernrep.char_ring import VirtualCharacter, gamma_series
+from chernrep.cli import run
 from chernrep.errors import ModelSizeError
 from chernrep.filtration_check import (
     Subspace,
+    TruncatedAlgebra,
+    _kernel,
+    _PropContext,
     gamma_subspace_ambient_cap_invariant,
     gamma_subspace_invariant,
     orbit_sum_generators,
-    truncated_model,
     verify_prop,
 )
 from chernrep.weyl import (
@@ -33,18 +39,18 @@ def V(rank, terms):
 
 
 def test_model_dimensions():
-    assert truncated_model(GroupSpec(TORUS, 1), 3).dim == 4
-    assert truncated_model(GroupSpec(GL, 2), 2).dim == 6
-    assert truncated_model(GroupSpec(GL, 3), 4).dim == 35
+    assert TruncatedAlgebra(GroupSpec(TORUS, 1), 3).dim == 4
+    assert TruncatedAlgebra(GroupSpec(GL, 2), 2).dim == 6
+    assert TruncatedAlgebra(GroupSpec(GL, 3), 4).dim == 35
 
 
 def test_model_size_guard():
     with pytest.raises(ModelSizeError):
-        truncated_model(GroupSpec(TORUS, 10), 10)
+        TruncatedAlgebra(GroupSpec(TORUS, 10), 10)
 
 
 def test_reduction_of_basis_generator_power():
-    model = truncated_model(GroupSpec(TORUS, 1), 3)
+    model = TruncatedAlgebra(GroupSpec(TORUS, 1), 3)
     u = V(1, {(1,): 1, (0,): -1})
     assert any(model.reduce(u**3))
     assert not any(model.reduce(u**4))
@@ -53,7 +59,7 @@ def test_reduction_of_basis_generator_power():
 def test_reduction_is_multiplicative():
     for name_rank, d in [((GL, 2), 3), ((SP, 2), 3)]:
         g = GroupSpec(*name_rank)
-        model = truncated_model(g, d)
+        model = TruncatedAlgebra(g, d)
         for _ in range(25):
             x = V(
                 g.rank,
@@ -96,7 +102,7 @@ def test_gamma_subspace_torus_rank1():
     g = GroupSpec(TORUS, 1)
     sub = gamma_subspace_invariant(g, 1, 2)
     u = V(1, {(1,): 1, (0,): -1})
-    model = truncated_model(g, 2)
+    model = TruncatedAlgebra(g, 2)
     expected = Subspace.from_vectors(3, [model.reduce(u), model.reduce(u**2)])
     assert sub == expected
 
@@ -106,7 +112,7 @@ def test_gamma_subspace_p0_is_invariant_subspace():
     sub = gamma_subspace_invariant(g, 0, 3)
     inv = gamma_subspace_ambient_cap_invariant(g, 0, 3)
     assert sub == inv
-    assert inv == truncated_model(g, 3).invariant_subspace()
+    assert inv == TruncatedAlgebra(g, 3).invariant_subspace()
 
 
 def test_ambient_cap_beyond_truncation_is_zero():
@@ -139,7 +145,7 @@ def test_filtration_nesting():
 def test_filtration_multiplicativity():
     g = GroupSpec(GL, 2)
     d = 4
-    model = truncated_model(g, d)
+    model = TruncatedAlgebra(g, d)
     subs = {p: gamma_subspace_invariant(g, p, d) for p in range(1, 4)}
     for p in range(1, 3):
         for q in range(1, 4 - p):
@@ -208,7 +214,7 @@ def test_gammas_match_gamma_series():
     for family in (GL, SP, SO_EVEN):
         g = GroupSpec(family, 2)
         for d in range(1, 5):
-            model = truncated_model(g, d)
+            model = TruncatedAlgebra(g, d)
             for z in orbit_sum_generators(g, d):
                 es = model.gammas(z)
                 for a in range(d + 1):
@@ -255,7 +261,7 @@ INVARIANT_DIMS = {
 def test_invariant_subspace_by_degree():
     for (family, d), dims in INVARIANT_DIMS.items():
         g = GroupSpec(family, 2)
-        model = truncated_model(g, d)
+        model = TruncatedAlgebra(g, d)
         matrices = [action_columns(model, w) for w in weyl_generators(g)]
         for p, dim in enumerate(dims):
             sub = model.invariant_subspace(p)
@@ -276,3 +282,139 @@ def test_verify_prop_rank_three_and_four_at_degree_four():
         report = verify_prop(g, 4, 4)
         assert report.passed, report.to_json_obj()
     assert time.monotonic() - start < 60.0
+
+
+def test_gamma_spans_stop_at_p_max():
+    """Spans built only through p_max equal those of a full degree-d build,
+    and no gamma span above p_max is built."""
+    d = 4
+    for family in (GL, SP, SO_EVEN):
+        g = GroupSpec(family, 2)
+        full = _PropContext(g, d)
+        for z in full.generators:
+            assert full.model.gammas(z, 2) == full.model.gammas(z)[:3]
+        for p_max in range(d + 1):
+            ctx = _PropContext(g, d, top=p_max)
+            for p in range(p_max + 1):
+                assert ctx.gamma_subspace(p) == full.gamma_subspace(p)
+            assert len(ctx._gamma_spans) == max(p_max, 1) + 1
+            entries = verify_prop(g, p_max, d).entries
+            assert entries == verify_prop(g, d, d).entries[: p_max + 1]
+
+
+def _rank(rows):
+    """Rank by Gaussian elimination in Fractions, the oracle for Subspace."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _for_random_matrices(check):
+    """Run check(ncols, rows, scales, order) on small random integer
+    matrices, with a nonzero scale per row and a permutation of the rows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def matrix(n):
+        rows = st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5
+        )
+        return rows.flatmap(
+            lambda rs: st.tuples(
+                st.just(n),
+                st.just(rs),
+                st.lists(
+                    st.integers(-4, 4).filter(bool), min_size=len(rs), max_size=len(rs)
+                ),
+                st.permutations(range(len(rs))),
+            )
+        )
+
+    @hypothesis.settings(deadline=None, max_examples=150)
+    @hypothesis.given(st.integers(1, 5).flatmap(matrix))
+    def run_check(case):
+        check(*case)
+
+    run_check()
+
+
+def test_subspace_is_canonical():
+    def check(n, rows, scales, order):
+        space = Subspace.from_vectors(n, rows)
+        moved = [[scales[i] * v for v in rows[i]] for i in order]
+        assert Subspace.from_vectors(n, moved) == space
+        pivots = [next(j for j, v in enumerate(row) if v) for row in space.rows]
+        assert pivots == sorted(set(pivots))
+        for row, piv in zip(space.rows, pivots):
+            assert row[piv] > 0 and math.gcd(*row) == 1
+            assert all(not row[q] for q in pivots if q != piv)
+
+    _for_random_matrices(check)
+
+
+def test_subspace_contains_matches_rank():
+    def check(n, rows, scales, order):
+        space = Subspace.from_vectors(n, rows)
+        rank = _rank(rows)
+        assert space.dim == rank
+        combo = [sum(s * row[j] for s, row in zip(scales, rows)) for j in range(n)]
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        for vec in [combo, *units, *(map(list, space.rows))]:
+            assert space.contains(vec) == (_rank(rows + [vec]) == rank)
+
+    _for_random_matrices(check)
+
+
+def test_kernel_from_canonical_form():
+    def check(n, rows, scales, order):
+        kernel = _kernel(rows, n)
+        for vec in kernel:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) == 0
+        assert _rank(kernel) == len(kernel)
+        assert Subspace.from_vectors(n, rows).dim + len(kernel) == n
+
+    _for_random_matrices(check)
+
+
+def test_subspace_rejects_wrong_row_length():
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [(1, 0)])
+
+
+def test_witness_is_rational_reduced_row(monkeypatch):
+    """A forced DIFFER: the S side loses the last row of its canonical form,
+    so an ambient row becomes a witness, printed as the rational row with
+    pivot 1."""
+    full_span = _PropContext.gamma_subspace
+
+    def smaller(self, p):
+        full = full_span(self, p)
+        return Subspace.from_vectors(full.ambient_dim, full.rows[:-1])
+
+    monkeypatch.setattr(_PropContext, "gamma_subspace", smaller)
+    g = GroupSpec(SO_EVEN, 2)
+    report = verify_prop(g, 1, 3)
+    half = Fraction(-1, 2)
+    witness = (0, 0, 0, 0, 1, 0, 0, half, half, 0)
+    assert [e.witnesses for e in report.entries] == [(witness,), (witness,)]
+    assert all(isinstance(v, Fraction) for v in report.entries[1].witnesses[0])
+    ambient = TruncatedAlgebra(g, 3).invariant_subspace(1)
+    assert ambient.contains([2 * v for v in witness])
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check-prop", "SO4", "--p-max", "1", "--degree", "3"]
+    assert run(argv, out=out, err=err) == 3
+    row = "['0', '0', '0', '0', '1', '0', '0', '-1/2', '-1/2', '0']"
+    assert err.getvalue() == (
+        f"error[verify-failed]: p=0 ambient vector outside Gamma^0(S): {row}\n"
+        f"error[verify-failed]: p=1 ambient vector outside Gamma^1(S): {row}\n"
+    )

@@ -11,7 +11,6 @@ from chernrep.weyl import (
     TORUS,
     GroupSpec,
     SignedPermutation,
-    act,
     orbit,
     weyl_elements,
     weyl_generators,
@@ -52,11 +51,11 @@ def test_group_laws():
 
 def test_act_examples():
     ident = SignedPermutation.identity(2)
-    assert act(ident, (1, 0)) == (1, 0)
+    assert ident.act((1, 0)) == (1, 0)
     swap = SignedPermutation((1, 0), (1, 1))
-    assert act(swap, (1, 0)) == (0, 1)
+    assert swap.act((1, 0)) == (0, 1)
     flip = SignedPermutation((0, 1), (-1, 1))
-    assert act(flip, (2, 1)) == (-2, 1)
+    assert flip.act((2, 1)) == (-2, 1)
 
 
 def test_act_is_linear_and_composition_compatible():
