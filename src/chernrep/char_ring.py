@@ -4,7 +4,10 @@ A virtual character is a finitely supported integer combination of lattice
 weights, i.e. an element of the group algebra Z[Z^n].  Multiplication is
 convolution of weights (tensor product of representations), the augmentation
 counts total multiplicity (virtual dimension), and the lambda/gamma series
-are truncated power series with virtual-character coefficients.
+are truncated power series with virtual-character coefficients.  The lambda
+series, which builds every exterior and symmetric power, is computed in one
+pass over the weights on integer-coded weights (see `lambda_series`), not
+by multiplying whole series.
 
 Everything here is exact integer arithmetic; no floats anywhere.
 """
@@ -254,26 +257,56 @@ class CharSeries:
 
 
 def lambda_series(x, d):
-    """lambda_t(x) truncated at degree d.
+    """lambda_t(x) truncated at degree d, in one pass over the weights.
 
     Writing x = sum of m_a [a], the series is the product over weights of
-    (1 + [a]t)^(m_a); a negative multiplicity contributes the truncated
-    inverse power, via the generalized binomial expansion
-    (1 + [a]t)^m = sum_k C(m, k) [k*a] t^k.
+    (1 + [a]t)^(m_a), expanded by the generalized binomial series
+    (1 + [a]t)^m = sum_j C(m, j) [j*a] t^j.  The coefficients e_0..e_d are
+    plain dicts keyed by integer weight codes: with B = 2*d*max|coordinate|
+    + 1, the weight (c_0, ..., c_(n-1)) has code sum c_i B^i in balanced
+    base-B digits.  Every weight of degree <= d has coordinates bounded by
+    d*max|coordinate|, so adding weights is adding codes, with no carry.
+
+    A weight with m > 0 updates e_k += sum_(1<=j<=min(m,k)) C(m, j)
+    [j*a] e_(k-j) for k = d down to 1, reading only old lower coefficients.
+    A weight with m = -n < 0 divides by (1 + [a]t)^n instead: for k = 1 up
+    to d, e_k -= sum_(1<=j<=min(n,k)) C(n, j) [j*a] e_(k-j), reading the
+    new lower coefficients.  Codes are decoded to weight tuples only for
+    the returned CharSeries.
     """
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
     rank = x.rank
-    out = CharSeries.one(rank, d)
-    for w in sorted(x.terms):
-        m = x.terms[w]
-        factor = []
-        for k in range(d + 1):
-            c = binomial(m, k)
-            scaled = tuple(k * a for a in w)
-            factor.append(VirtualCharacter(rank, {scaled: c} if c else {}))
-        out = out * CharSeries(rank, factor)
-    return out
+    bound = d * max((abs(c) for w in x.terms for c in w), default=0)
+    base = 2 * bound + 1
+    coeffs = [{0: 1}] + [{} for _ in range(d)]
+    for w, m in x.terms.items():
+        code = sum(c * base**i for i, c in enumerate(w))
+        n, sign = abs(m), 1 if m > 0 else -1
+        binoms = [sign * binomial(n, j) for j in range(min(n, d) + 1)]
+        for k in range(d, 0, -1) if m > 0 else range(1, d + 1):
+            ek = coeffs[k]
+            for j in range(1, min(n, k) + 1):
+                c, shift = binoms[j], j * code
+                for key, v in coeffs[k - j].items():
+                    key += shift
+                    ek[key] = ek.get(key, 0) + c * v
+
+    def weight(code):
+        coords = []
+        for _ in range(rank):
+            digit = (code + bound) % base - bound
+            coords.append(digit)
+            code = (code - digit) // base
+        return tuple(coords)
+
+    return CharSeries(
+        rank,
+        [
+            VirtualCharacter(rank, {weight(key): v for key, v in ek.items()})
+            for ek in coeffs
+        ],
+    )
 
 
 def adams_via_series(k, x):

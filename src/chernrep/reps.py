@@ -1,7 +1,7 @@
 """Characters of concrete representations and constructions on them."""
 
-from .char_ring import CharSeries, VirtualCharacter, lambda_series
-from .errors import RankMismatchError
+from .char_ring import VirtualCharacter, augmentation, lambda_series
+from .errors import RankMismatchError, model_dimension
 from .weyl import GL, SO_ODD, TORUS, weyl_generators
 
 
@@ -24,23 +24,30 @@ def standard(g):
 
 
 def exterior(x, p):
-    """Exterior power: coefficient p of the lambda series."""
+    """Exterior power: coefficient p of the lambda series.
+
+    An effective x (no negative multiplicity) has lambda^p(x) = 0 above its
+    dimension, returned at once.  Otherwise the series builds every weight
+    of degree <= p in the N distinct weights of x, so it is refused with
+    ModelSizeError when C(N + p, p) exceeds MODEL_DIM_LIMIT, before any
+    work.
+    """
     if p < 0:
         raise ValueError("exterior power needs p >= 0")
+    if all(m > 0 for m in x.terms.values()):
+        if p > augmentation(x):
+            return VirtualCharacter.zero(x.rank)
+    else:
+        model_dimension(len(x.terms), p)
     return lambda_series(x, p).coefficient(p)
 
 
 def symmetric(x, p):
-    """Symmetric power: coefficient p of the truncated inverse of
-    lambda_{-t}(x)."""
+    """Symmetric power, sigma^p(x) = (-1)^p lambda^p(-x), read off
+    sigma_t(x) = lambda_(-t)(x)^(-1) = lambda_(-t)(-x)."""
     if p < 0:
         raise ValueError("symmetric power needs p >= 0")
-    lam = lambda_series(x, p)
-    alt = CharSeries(
-        x.rank,
-        [c if k % 2 == 0 else -c for k, c in enumerate(lam.coeffs)],
-    )
-    return alt.inverse().coefficient(p)
+    return exterior(-x, p) * (-1) ** p
 
 
 def dual(x):

@@ -13,6 +13,7 @@ from chernrep.char_ring import (
     lambda_series,
 )
 from chernrep.errors import RankMismatchError
+from chernrep.reps import symmetric
 
 rng = random.Random(4096)
 
@@ -27,6 +28,75 @@ def rand_char(rank, max_weights=5, coord=2, mult=2):
         w = tuple(rng.randint(-coord, coord) for _ in range(rank))
         terms[w] = terms.get(w, 0) + rng.randint(-mult, mult)
     return V(rank, terms)
+
+
+def _lambda_series_by_products(x, d):
+    """The product of the series (1 + [a]t)^(m_a) as whole CharSeries, one
+    per weight: the reference for the coded one-pass lambda_series."""
+    out = CharSeries.one(x.rank, d)
+    for w in sorted(x.terms):
+        factor = []
+        for k in range(d + 1):
+            c = binomial(x.terms[w], k)
+            factor.append(V(x.rank, {tuple(k * a for a in w): c} if c else {}))
+        out = out * CharSeries(x.rank, factor)
+    return out
+
+
+def _symmetric_by_inverse(x, p):
+    """Coefficient p of the truncated inverse of lambda_{-t}(x)."""
+    lam = lambda_series(x, p)
+    alt = CharSeries(x.rank, [c * (-1) ** k for k, c in enumerate(lam.coeffs)])
+    return alt.inverse().coefficient(p)
+
+
+def _for_random_characters(check):
+    """Run check(x, y, d) on random virtual characters x, y of one rank 1..3
+    (coordinates -2..2, the zero weight often, multiplicities -3..3, the
+    empty character included) and a degree 0 <= d <= 6."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def characters(r):
+        weight = st.one_of(st.just((0,) * r), st.tuples(*[st.integers(-2, 2)] * r))
+        terms = st.dictionaries(weight, st.integers(-3, 3), max_size=4)
+        return st.tuples(terms, terms).map(lambda ts: (V(r, ts[0]), V(r, ts[1])))
+
+    @hypothesis.settings(deadline=None, max_examples=150)
+    @hypothesis.given(st.integers(1, 3).flatmap(characters), st.integers(0, 6))
+    def run_check(xy, d):
+        check(*xy, d)
+
+    run_check()
+
+
+def test_lambda_series_matches_product_of_series():
+    def check(x, y, d):
+        assert lambda_series(x, d) == _lambda_series_by_products(x, d)
+
+    _for_random_characters(check)
+
+
+def test_symmetric_matches_inverse_series():
+    def check(x, y, d):
+        assert symmetric(x, d) == _symmetric_by_inverse(x, d)
+
+    _for_random_characters(check)
+
+
+def test_lambda_series_is_additive():
+    def check(x, y, d):
+        assert lambda_series(x + y, d) == lambda_series(x, d) * lambda_series(y, d)
+
+    _for_random_characters(check)
+
+
+def test_adams_via_series_matches_dilation():
+    def check(x, y, d):
+        for k in range(1, 6):
+            assert adams_via_series(k, x) == adams(k, x)
+
+    _for_random_characters(check)
 
 
 def test_binomial_generalized():

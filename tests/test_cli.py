@@ -51,17 +51,27 @@ def test_chern_huge_max_degree():
 
 
 def test_unbounded_degree_is_refused_before_any_work():
-    # Both would build every degree up to 10^8: ch always, and chern once a
-    # multiplicity is negative (the inverse series never stops).
+    # Each would build every degree up to 10^8: ch always, chern once a
+    # multiplicity is negative (the inverse series never stops), and the
+    # lambda series of a virtual character, which sym(p, R) builds from -R.
     for argv in (
         ["ch", "GL2", "std", "--max-degree", "100000000"],
         ["chern", "T1", "weights[[0]] - weights[[1]]", "--max-degree", "100000000"],
+        ["chern", "GL2", "sym(100000000,std)"],
+        ["lambda", "-p", "100000000", "GL2", "std - dual(std)"],
     ):
         start = time.monotonic()
         code, out, err = run_cli(argv)
         assert time.monotonic() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error[model-size]: ")
+
+
+def test_exterior_power_above_dimension_is_zero_at_once():
+    start = time.monotonic()
+    code, out, err = run_cli(["lambda", "-p", "100000000", "GL2", "std"])
+    assert time.monotonic() - start < 1.0
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_ch_output():
