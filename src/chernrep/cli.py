@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or expression-syntax error, 2 computation
 error (guards, non-invariance, missing generators), 3 verification failure
-from check-prop.  Errors are written to stderr as ``error[<code>]: message``.
+from check-prop, 141 stdout closed before the output was written.  Errors
+are written to stderr as ``error[<code>]: message``.
 """
 
 import argparse
@@ -274,4 +275,16 @@ def run(argv, out=None, err=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered to devnull so
+        # that the flush at exit cannot fail again, and end with the status
+        # a shell gives a program ended by SIGPIPE.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 128 + 13
+    sys.exit(code)

@@ -10,15 +10,17 @@ through generalized binomials.
 Inside the model two subspaces are built per degree p and compared:
 
   * the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k), sum a_j = p,
-    with the z's running over Weyl-orbit sums z = sum_b ([b] - [0]) of
-    bounded weights (these span the augmentation-zero invariants exactly).
-    The gamma operations never leave the model: gamma_t([b] - 1) =
-    1 + ([b] - 1)t, so gamma^a(z) is the elementary symmetric function
-    e_a of the images u_b of [b] - [0];
+    with the z's running over Weyl-orbit sums z = sum_b ([b] - [0]) whose
+    model images are a basis of the images of all orbit sums in the box
+    [-d, d]^n, which span the augmentation-zero invariants: over Q,
+    gamma^a(x) modulo r^(d+1) depends only on the image of x.  The gamma
+    operations never leave the model: gamma_t([b] - 1) = 1 + ([b] - 1)t,
+    so gamma^a(z) is the elementary symmetric function e_a of the images
+    u_b of [b] - [0];
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
-    cut down to the invariants), read off as one kernel: that of the
-    stacked (M_w - 1) over the Weyl generators, on those columns.
+    cut down to the invariants), read off one kernel, of the stacked
+    (M_w - 1) over the Weyl generators, built once per model.
 
 All linear algebra is exact and runs through one fraction-free routine in
 integers: a subspace is kept as its reduced row echelon form with primitive
@@ -32,7 +34,7 @@ from math import gcd, lcm
 
 from .char_ring import VirtualCharacter, binomial
 from .errors import ReductionDefectError, model_dimension
-from .weyl import orbit, weyl_generators
+from .weyl import dominant_weights, orbit, weyl_generators
 
 
 def _primitive(vec):
@@ -163,6 +165,8 @@ class TruncatedAlgebra:
             sum(k * (d + 1) ** i for i, k in enumerate(m)) for m in self.monomials
         ]
         self.index = {c: j for j, c in enumerate(self.codes)}
+        self._binomials = {}  # a -> [binomial(a, k) for k = 0..d]
+        self._invariants = None  # the W-invariant subspace, built on first use
 
     @staticmethod
     def _enumerate(n, d):
@@ -181,17 +185,29 @@ class TruncatedAlgebra:
 
     def reduce(self, x):
         """Image of a virtual character: [a] expands as the product of
-        (1 + u_i)^(a_i) truncated, with integer binomial coefficients."""
+        (1 + u_i)^(a_i) truncated, with integer binomial coefficients, taken
+        on monomial codes over the nonzero coordinates of a only."""
         if x.rank != self.rank:
             raise ValueError("character rank does not match the model")
         vec = self.zero()
+        d, index, binomials = self.d, self.index, self._binomials
         for w, mult in x.terms.items():
-            rows = [[binomial(a, k) for k in range(self.d + 1)] for a in w]
-            for i, m in enumerate(self.monomials):
-                c = mult
-                for row, k in zip(rows, m):
-                    c *= row[k]
-                vec[i] += c
+            terms = [(0, 0, mult)]  # (degree, code, coefficient)
+            for i, a in enumerate(w):
+                if not a:
+                    continue
+                row = binomials.get(a)
+                if row is None:
+                    row = binomials[a] = [binomial(a, k) for k in range(d + 1)]
+                step = (d + 1) ** i
+                terms = [
+                    (deg + k, code + k * step, c * row[k])
+                    for deg, code, c in terms
+                    for k in range(d + 1 - deg)
+                    if row[k]
+                ]
+            for _, code, c in terms:
+                vec[index[code]] += c
         return vec
 
     def _u(self, b):
@@ -256,21 +272,29 @@ class TruncatedAlgebra:
         return cols
 
     def invariant_subspace(self, p=0):
-        """W-invariant vectors supported on basis monomials of degree >= p:
-        the joint kernel of (M_w - 1) over the Weyl generators, restricted
-        to those columns.  They are a suffix of the basis, and W preserves
-        the degree filtration, so only the rows of the same suffix can be
-        nonzero."""
+        """W-invariant vectors supported on basis monomials of degree >= p.
+        The invariants are the joint kernel of (M_w - 1) over the Weyl
+        generators, built once per model.  The monomials of degree >= p are
+        a suffix of the basis, and as each row of the canonical form is
+        zero in the other pivot columns, the invariants vanishing before
+        the suffix are spanned by the rows that pivot inside it."""
+        if self._invariants is None:
+            equations = []
+            for w in weyl_generators(self.group):
+                cols = self._action_columns(w)
+                for i in range(self.dim):
+                    eq = [col[i] for col in cols]
+                    eq[i] -= 1
+                    equations.append(eq)
+            self._invariants = Subspace.from_vectors(
+                self.dim, _kernel(equations, self.dim)
+            )
         start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
-        equations = []
-        for w in weyl_generators(self.group):
-            cols = self._action_columns(w)[start:]
-            for i in range(start, self.dim):
-                eq = [col[i] for col in cols]
-                eq[i - start] -= 1
-                equations.append(eq)
-        kernel = _kernel(equations, self.dim - start)
-        return Subspace.from_vectors(self.dim, [[0] * start + v for v in kernel])
+        suffix = Subspace(self.dim)
+        suffix._rows.update(
+            (piv, row) for piv, row in self._invariants._rows.items() if piv >= start
+        )
+        return suffix
 
 
 def orbit_sum_generators(g, bound):
@@ -294,13 +318,41 @@ def orbit_sum_generators(g, bound):
     return gens
 
 
+def _independent_orbit_sums(model, bound):
+    """Orbit sums z = sum_b ([b] - [0]) of the dominant weights in
+    [-bound, bound]^n, by increasing |a|_1, each kept when its model image
+    raises the rank.  The images lie in the augmentation-zero invariants, so
+    the scan stops at their dimension (a box with bound < d may end first).
+    The kept images span those of every orbit sum in the box, so gamma
+    monomials over the kept sums span the same subspaces (Fulton-Lang,
+    Riemann-Roch Algebra, ch. I-III)."""
+    g, n = model.group, model.rank
+    zero = (0,) * n
+    target = model.invariant_subspace(1).dim
+    images = Subspace(model.dim)
+    kept = []
+    for a in dominant_weights(g, bound):
+        if images.dim == target:
+            break
+        orb = orbit(g, a)
+        z = VirtualCharacter(n, {**dict.fromkeys(orb, 1), zero: -len(orb)})
+        rank = images.dim
+        images._insert(model.reduce(z))
+        if images.dim > rank:
+            kept.append(z)
+    return kept
+
+
 class _PropContext:
     """Shared state for the per-degree subspace computations, which read
-    gamma spans of degree at most top (p = 0 reads degree 1)."""
+    gamma spans of degree at most top (p = 0 reads degree 1), over the
+    orbit sums that `_independent_orbit_sums` keeps."""
 
     def __init__(self, g, d, bound=None, top=None):
         self.model = TruncatedAlgebra(g, d)
-        self.generators = orbit_sum_generators(g, d if bound is None else bound)
+        self.generators = _independent_orbit_sums(
+            self.model, d if bound is None else bound
+        )
         self.top = d if top is None else min(max(top, 1), d)
         self._gamma_spans = None
         self._product_spans = {}

@@ -8,7 +8,7 @@ SO(2l), acting in the standard coordinates of the lattice.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import factorial
 
 from .errors import EnumerationLimitError, RankMismatchError
@@ -21,7 +21,8 @@ TORUS = "Torus"
 
 FAMILIES = (GL, SP, SO_ODD, SO_EVEN, TORUS)
 
-# Full enumeration of W is refused beyond this order.
+# Full enumeration of W is refused beyond this order, and the closure of an
+# orbit beyond this many coordinate moves.
 ENUMERATION_LIMIT = 10**6
 
 
@@ -183,17 +184,70 @@ def weyl_generators(g):
     return gens
 
 
+def dominant_weights(g, bound):
+    """The nonzero dominant weights in the box [-bound, bound]^n, one per
+    Weyl orbit, by increasing |a|_1: non-increasing coordinates for GL,
+    a_1 >= ... >= a_n >= 0 for Sp and odd SO, a_1 >= ... >= a_(n-1) >= |a_n|
+    for even SO, and every weight for a torus."""
+    n, family = g.rank, g.family
+
+    def tails(k, s, top):
+        # the last k coordinates, of absolute sum s, after the coordinate top
+        if k == 0:
+            yield ()
+            return
+        if family == TORUS:
+            lo, hi = -bound, bound
+        elif family == GL:
+            lo, hi = -bound, top
+        elif family == SO_EVEN and k == 1:
+            lo, hi = -top, top
+        else:
+            lo, hi = 0, top
+        for v in range(hi, lo - 1, -1):
+            rest = s - abs(v)
+            # every later coordinate is at most bound (GL, torus) or |v| in size
+            if 0 <= rest <= (k - 1) * (bound if family in (GL, TORUS) else abs(v)):
+                for tail in tails(k - 1, rest, v):
+                    yield (v, *tail)
+
+    for s in range(1, n * bound + 1):
+        yield from tails(n, s, bound)
+
+
+def _orbit_size(g, a):
+    """Size of the closure of a under the Weyl generators: the arrangements
+    of the coordinates (of their absolute values where W changes signs)
+    times the sign patterns W allows.  A torus's generators include the
+    adjacent transpositions, so its orbits close as those of GL do."""
+    signed = g.family not in (GL, TORUS)
+    values = [abs(v) for v in a] if signed else a
+    size = factorial(len(a))
+    for _, run in groupby(sorted(values)):
+        size //= factorial(len(list(run)))
+    if signed:
+        nonzero = sum(1 for v in a if v)
+        size <<= nonzero
+        if g.family == SO_EVEN and nonzero == len(a):
+            size >>= 1  # only even sign changes
+    return size
+
+
 def orbit(g, a):
-    """The set {w.a : w in W}."""
+    """The set {w.a : w in W}, closed under the Weyl generators.  Refused
+    with EnumerationLimitError before any work when the closure would move
+    more than ENUMERATION_LIMIT coordinates: every generator moves each of
+    the |W.a| weights, n coordinates at a time."""
     if len(a) != g.torus_rank:
         raise RankMismatchError(f"weight length {len(a)} != rank {g.torus_rank}")
-    weyl_order_check = weyl_order(g)
-    if weyl_order_check > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"|W| = {weyl_order_check} exceeds enumeration limit {ENUMERATION_LIMIT}"
-        )
-    # closure under generators; avoids materializing W for large orbits
     gens = weyl_generators(g)
+    size = _orbit_size(g, a)
+    moves = size * len(gens) * len(a)
+    if moves > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(
+            f"closing the orbit of {tuple(a)} ({size} weights) moves {moves} "
+            f"coordinates, exceeds enumeration limit {ENUMERATION_LIMIT}"
+        )
     seen = {tuple(a)}
     frontier = [tuple(a)]
     while frontier:

@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
+import chernrep
 import chernrep.cli as cli
 from chernrep.filtration_check import PropEntry, PropReport
 
@@ -207,3 +211,41 @@ def test_round_trip_through_parsers():
     _, out, _ = run_cli(["adams", "-k", "2", "Sp4", "std"])
     x = parse_character(out.strip(), 2)
     assert len(x.terms) == 4
+
+
+def test_check_prop_gl10_ends_in_a_result():
+    """|W| = 10! is above the enumeration limit, but the model has
+    dimension 11 and every orbit the scan closes has 10 weights."""
+    start = time.monotonic()
+    code, out, err = run_cli(["check-prop", "GL10", "--p-max", "1", "--degree", "1"])
+    assert time.monotonic() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == (
+        "group GL10  truncation degree 1\n"
+        "p=0  dim_gamma_S=2  dim_gamma_R_cap_S=2  equal\n"
+        "p=1  dim_gamma_S=1  dim_gamma_R_cap_S=1  equal\n"
+        "PASS\n"
+    )
+
+
+def test_closed_pipe_ends_quietly():
+    """The reader closes stdout after 10 bytes of a 175 KB output, more
+    than a pipe buffers: no traceback, exit status 128 + SIGPIPE."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chernrep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "chernrep", "lambda", "-p", "5", "SO10", "ext(2,std)"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == b"[5,1,1,1,0"
+    assert err == b""
+    assert code == 141

@@ -418,3 +418,84 @@ def test_witness_is_rational_reduced_row(monkeypatch):
         f"error[verify-failed]: p=0 ambient vector outside Gamma^0(S): {row}\n"
         f"error[verify-failed]: p=1 ambient vector outside Gamma^1(S): {row}\n"
     )
+
+
+def full_box_context(g, d, bound=None, top=None):
+    """The full-box route: gamma spans over one orbit sum per Weyl orbit in
+    the whole box [-bound, bound]^n, the oracle for the kept generators."""
+    ctx = _PropContext(g, d, bound, top)
+    ctx.generators = orbit_sum_generators(g, d if bound is None else bound)
+    return ctx
+
+
+ORACLE_GROUPS = [
+    (GL, 2), (GL, 3), (GL, 4), (SP, 2), (SP, 3),
+    (SO_EVEN, 2), (SO_ODD, 2), (SO_EVEN, 3), (SO_ODD, 3), (SO_EVEN, 4),
+]
+
+
+def test_kept_generators_span_like_the_full_box():
+    for family, rank in ORACLE_GROUPS:
+        g = GroupSpec(family, rank)
+        for d in range(1, 5):
+            kept, full = _PropContext(g, d), full_box_context(g, d)
+            for p in range(d + 1):
+                assert kept.gamma_subspace(p) == full.gamma_subspace(p), (g, d, p)
+
+
+def test_kept_generators_are_independent_and_at_most_the_invariants():
+    for family, rank in ORACLE_GROUPS + [(TORUS, 2)]:
+        g = GroupSpec(family, rank)
+        for d in range(1, 5):
+            for bound in (1, d, d + 1):
+                ctx = _PropContext(g, d, bound)
+                model = ctx.model
+                target = model.invariant_subspace(1).dim
+                images = [model.reduce(z) for z in ctx.generators]
+                assert Subspace.from_vectors(model.dim, images).dim == len(images)
+                assert len(ctx.generators) <= target
+                if bound >= d:
+                    assert len(ctx.generators) == target
+
+
+def test_check_prop_gl4_degree_five_matches_the_full_box_route():
+    """Recorded from the full-box route, which took about 11 s."""
+    start = time.monotonic()
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["check-prop", "GL4", "--p-max", "5", "--degree", "5"], out, err) == 0
+    assert time.monotonic() - start < 20.0
+    assert err.getvalue() == ""
+    assert out.getvalue() == (
+        "group GL4  truncation degree 5\n"
+        "p=0  dim_gamma_S=18  dim_gamma_R_cap_S=18  equal\n"
+        "p=1  dim_gamma_S=17  dim_gamma_R_cap_S=17  equal\n"
+        "p=2  dim_gamma_S=16  dim_gamma_R_cap_S=16  equal\n"
+        "p=3  dim_gamma_S=14  dim_gamma_R_cap_S=14  equal\n"
+        "p=4  dim_gamma_S=11  dim_gamma_R_cap_S=11  equal\n"
+        "p=5  dim_gamma_S=6  dim_gamma_R_cap_S=6  equal\n"
+        "PASS\n"
+    )
+
+
+def test_kept_spans_equal_full_box_spans_on_random_boxes():
+    """Also for bound < d, where the box does not span the invariants and
+    the scan runs to its edge."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, max_examples=80)
+    @hypothesis.given(
+        st.sampled_from([GL, SP, SO_ODD, SO_EVEN, TORUS]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def check(family, rank, d, bound):
+        if family == TORUS:
+            rank = min(rank, 2)
+        g = GroupSpec(family, rank)
+        kept, full = _PropContext(g, d, bound), full_box_context(g, d, bound)
+        for p in range(d + 1):
+            assert kept.gamma_subspace(p) == full.gamma_subspace(p)
+
+    check()

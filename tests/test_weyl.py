@@ -1,9 +1,12 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from chernrep.errors import EnumerationLimitError, RankMismatchError
 from chernrep.weyl import (
+    FAMILIES,
     GL,
     SO_EVEN,
     SO_ODD,
@@ -11,6 +14,8 @@ from chernrep.weyl import (
     TORUS,
     GroupSpec,
     SignedPermutation,
+    _orbit_size,
+    dominant_weights,
     orbit,
     weyl_elements,
     weyl_generators,
@@ -136,3 +141,49 @@ def test_group_spec_validation():
     assert GroupSpec(SO_EVEN, 3).ambient_dim == 6
     assert str(GroupSpec(SO_EVEN, 3)) == "SO6"
     assert str(GroupSpec(TORUS, 2)) == "T2"
+
+
+def test_dominant_weights_one_per_orbit_by_norm():
+    for family in FAMILIES:
+        for rank in range(1, 5):
+            g = GroupSpec(family, rank)
+            for bound in range(4):
+                weights = list(dominant_weights(g, bound))
+                norms = [sum(map(abs, a)) for a in weights]
+                assert norms == sorted(norms) and len(set(weights)) == len(weights)
+                box = [
+                    a
+                    for a in itertools.product(range(-bound, bound + 1), repeat=rank)
+                    if any(a)
+                ]
+                if family == TORUS:
+                    assert sorted(weights) == sorted(box)
+                    continue
+                orbits, seen = set(), set()
+                for a in box:
+                    if a not in seen:
+                        orb = frozenset(orbit(g, a))
+                        orbits.add(orb)
+                        seen |= orb
+                assert len(weights) == len(orbits)
+                assert {frozenset(orbit(g, a)) for a in weights} == orbits
+
+
+def test_orbit_size_is_predicted_before_closing():
+    for family in FAMILIES:
+        for rank in range(1, 5):
+            g = GroupSpec(family, rank)
+            for a in itertools.product(range(-2, 3), repeat=rank):
+                assert _orbit_size(g, a) == len(orbit(g, a))
+
+
+def test_orbit_guard_is_sized_by_the_orbit():
+    # |W| = 10! is above the limit, the orbit has 10 weights
+    assert len(orbit(GroupSpec(GL, 10), (1,) + (0,) * 9)) == 10
+    # 20!/(7! 6! 7!) weights: refused before any of them is built
+    start = time.monotonic()
+    with pytest.raises(EnumerationLimitError) as refused:
+        orbit(GroupSpec(GL, 20), (1,) * 7 + (0,) * 6 + (-1,) * 7)
+    assert time.monotonic() - start < 1.0
+    assert refused.value.code == "enumeration-limit"
+    assert "orbit" in str(refused.value)
