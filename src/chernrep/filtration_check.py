@@ -19,22 +19,24 @@ Inside the model two subspaces are built per degree p and compared:
     u_b of [b] - [0];
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
-    cut down to the invariants), read off one kernel, of the stacked
-    (M_w - 1) over the Weyl generators, built once per model.
+    cut down to the invariants).  The invariants of the model are the span
+    of the unit and the images of those same kept orbit sums, found by one
+    scan per model that stops at the number of W-invariant polynomials of
+    degree <= d (Chevalley: a free algebra on generators of known degrees).
 
 All linear algebra is exact and runs through one fraction-free routine in
 integers: a subspace is kept as its reduced row echelon form with primitive
 integer rows and positive pivots, which is canonical, so subspace equality
-is literal equality and kernels are read off that form.
+is literal equality.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .char_ring import VirtualCharacter, binomial
 from .errors import ReductionDefectError, model_dimension
-from .weyl import dominant_weights, orbit, weyl_generators
+from .weyl import dominant_weights, invariant_degrees, orbit
 
 
 def _primitive(vec):
@@ -128,24 +130,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _kernel(equations, ncols):
-    """Integer kernel basis of the linear map given by equation rows, read
-    off their canonical form: for each free column f, the vector with L,
-    the lcm of the pivots, at f and -row[f] L / row[piv] at each pivot."""
-    form = Subspace.from_vectors(ncols, equations)
-    lead = lcm(*(row[piv] for piv, row in form._rows.items()))
-    basis = []
-    for free in range(ncols):
-        if free in form._rows:
-            continue
-        vec = [0] * ncols
-        vec[free] = lead
-        for piv, row in form._rows.items():
-            vec[piv] = -row[free] * lead // row[piv]
-        basis.append(vec)
-    return basis
-
-
 class TruncatedAlgebra:
     """R(T) tensor Q modulo r^(d+1), with a monomial basis in the u_i."""
 
@@ -167,6 +151,7 @@ class TruncatedAlgebra:
         self.index = {c: j for j, c in enumerate(self.codes)}
         self._binomials = {}  # a -> [binomial(a, k) for k = 0..d]
         self._invariants = None  # the W-invariant subspace, built on first use
+        self.orbit_sums = None  # the orbit sums its scan keeps
 
     @staticmethod
     def _enumerate(n, d):
@@ -210,10 +195,6 @@ class TruncatedAlgebra:
                 vec[index[code]] += c
         return vec
 
-    def _u(self, b):
-        """Image of [b] - [0]."""
-        return self.reduce(VirtualCharacter(self.rank, {b: 1, (0,) * self.rank: -1}))
-
     def multiply(self, u, v):
         """Product of two model vectors.  Both supports run in basis order,
         which is by degree, so the inner walk stops where the degree of the
@@ -252,43 +233,29 @@ class TruncatedAlgebra:
                 continue
             if mult != 1:
                 raise ValueError("gammas needs an orbit sum of distinct weights")
-            u = self._u(b)
+            u = self.reduce(VirtualCharacter(self.rank, {b: 1, zero: -1}))
             seen += 1
             for j in range(min(seen, top), 0, -1):
                 es[j] = [x + y for x, y in zip(es[j], self.multiply(es[j - 1], u))]
         return es
 
-    def _action_columns(self, w):
-        """Columns of the matrix M_w of w on the basis: the image of a
-        monomial is the product of the images [w.e_i] - [0] of its factors."""
-        n = self.rank
-        units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
-        images = [self._u(w.act(e)) for e in units]
-        cols = [self.unit()]
-        for m, code in zip(self.monomials[1:], self.codes[1:]):
-            i = next(k for k, e in enumerate(m) if e)
-            lower = self.index[code - (self.d + 1) ** i]
-            cols.append(self.multiply(cols[lower], images[i]))
-        return cols
-
     def invariant_subspace(self, p=0):
         """W-invariant vectors supported on basis monomials of degree >= p.
-        The invariants are the joint kernel of (M_w - 1) over the Weyl
-        generators, built once per model.  The monomials of degree >= p are
-        a suffix of the basis, and as each row of the canonical form is
-        zero in the other pivot columns, the invariants vanishing before
-        the suffix are spanned by the rows that pivot inside it."""
+        The invariants are the span of the unit and the images of the orbit
+        sums that one scan of the box [-d, d]^n keeps, built once per model.
+        The monomials of degree >= p are a suffix of the basis, and as each
+        row of the canonical form is zero in the other pivot columns, the
+        invariants vanishing before the suffix are spanned by the rows that
+        pivot inside it."""
         if self._invariants is None:
-            equations = []
-            for w in weyl_generators(self.group):
-                cols = self._action_columns(w)
-                for i in range(self.dim):
-                    eq = [col[i] for col in cols]
-                    eq[i] -= 1
-                    equations.append(eq)
-            self._invariants = Subspace.from_vectors(
-                self.dim, _kernel(equations, self.dim)
-            )
+            self.orbit_sums, images = _independent_orbit_sums(self, self.d)
+            if images.dim + 1 < _invariant_count(self.group, self.d):
+                raise ReductionDefectError(
+                    f"the orbit sums of {self.group} span fewer than its "
+                    f"invariants of degree <= {self.d}: wrong degree table"
+                )
+            images._insert(self.unit())
+            self._invariants = images
         start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
         suffix = Subspace(self.dim)
         suffix._rows.update(
@@ -318,17 +285,29 @@ def orbit_sum_generators(g, bound):
     return gens
 
 
+def _invariant_count(g, d):
+    """Number of W-invariant polynomials of degree <= d: the monomials in
+    free generators of the degrees `invariant_degrees` gives (Chevalley),
+    counted by weighted degree."""
+    counts = [1] + [0] * d
+    for deg in invariant_degrees(g):
+        for s in range(deg, d + 1):
+            counts[s] += counts[s - deg]
+    return sum(counts)
+
+
 def _independent_orbit_sums(model, bound):
     """Orbit sums z = sum_b ([b] - [0]) of the dominant weights in
     [-bound, bound]^n, by increasing |a|_1, each kept when its model image
-    raises the rank.  The images lie in the augmentation-zero invariants, so
-    the scan stops at their dimension (a box with bound < d may end first).
+    raises the rank, with the span of the kept images.  The images lie in
+    the augmentation-zero invariants, so the scan stops at their dimension,
+    the invariant count less one (a box with bound < d may end first).
     The kept images span those of every orbit sum in the box, so gamma
     monomials over the kept sums span the same subspaces (Fulton-Lang,
     Riemann-Roch Algebra, ch. I-III)."""
     g, n = model.group, model.rank
     zero = (0,) * n
-    target = model.invariant_subspace(1).dim
+    target = _invariant_count(g, model.d) - 1
     images = Subspace(model.dim)
     kept = []
     for a in dominant_weights(g, bound):
@@ -340,19 +319,22 @@ def _independent_orbit_sums(model, bound):
         images._insert(model.reduce(z))
         if images.dim > rank:
             kept.append(z)
-    return kept
+    return kept, images
 
 
 class _PropContext:
     """Shared state for the per-degree subspace computations, which read
     gamma spans of degree at most top (p = 0 reads degree 1), over the
-    orbit sums that `_independent_orbit_sums` keeps."""
+    orbit sums that `_independent_orbit_sums` keeps: those of the model's
+    own scan when the box is [-d, d]^n."""
 
     def __init__(self, g, d, bound=None, top=None):
         self.model = TruncatedAlgebra(g, d)
-        self.generators = _independent_orbit_sums(
-            self.model, d if bound is None else bound
-        )
+        if bound is None or bound == d:
+            self.model.invariant_subspace()
+            self.generators = self.model.orbit_sums
+        else:
+            self.generators = _independent_orbit_sums(self.model, bound)[0]
         self.top = d if top is None else min(max(top, 1), d)
         self._gamma_spans = None
         self._product_spans = {}

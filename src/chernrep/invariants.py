@@ -23,7 +23,16 @@ from .errors import (
     ReductionDefectError,
 )
 from .graded import SymbolicPolynomial, _terms_json, _terms_text
-from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, weyl_elements, weyl_generators
+from .weyl import (
+    GL,
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    TORUS,
+    invariant_degrees,
+    weyl_elements,
+    weyl_generators,
+)
 
 
 def is_invariant(f, g):
@@ -77,23 +86,17 @@ def generator_definitions(g):
             "a torus has no canonical invariant generators"
         )
     n = g.rank
-    out = []
-    if g.family == GL:
-        xs = [SymbolicPolynomial.variable(n, i) for i in range(1, n + 1)]
-        es = elementary_symmetric_all(xs, n)
-        for p in range(1, n + 1):
-            out.append((f"I{p}", es[p], p))
-        return out
-    es = elementary_symmetric_all(_standard_weight_forms(g), 2 * n)
-    top = n if g.family in (SP, SO_ODD) else n - 1
-    for p in range(1, top + 1):
-        out.append((f"I{p}", es[2 * p], 2 * p))
+    degrees = invariant_degrees(g)
+    xs = [SymbolicPolynomial.variable(n, i) for i in range(1, n + 1)]
+    forms = xs if g.family == GL else _standard_weight_forms(g)
+    es = elementary_symmetric_all(forms, max(degrees))
+    polys = [es[deg] for deg in degrees]
     if g.family == SO_EVEN:
         pf = SymbolicPolynomial.one(n)
-        for i in range(1, n + 1):
-            pf = pf * SymbolicPolynomial.variable(n, i)
-        out.append((f"I{n}", pf, n))
-    return out
+        for x in xs:
+            pf = pf * x
+        polys[-1] = pf
+    return list(zip((f"I{p}" for p in range(1, n + 1)), polys, degrees))
 
 
 class GeneratorExpression:
@@ -147,9 +150,8 @@ class GeneratorExpression:
         return GeneratorExpression(self.group, terms)
 
     def _degree_of(self):
-        """Weighted degree of a generator monomial, with the generator
-        degrees read once."""
-        degrees = [d for _, _, d in generator_definitions(self.group)]
+        """Weighted degree of a generator monomial."""
+        degrees = invariant_degrees(self.group)
         return lambda e: sum(k * d for k, d in zip(e, degrees))
 
     def _ordered_exps(self):

@@ -124,6 +124,19 @@ def weyl_order(g):
     return 2 ** (n - 1) * factorial(n)
 
 
+def invariant_degrees(g):
+    """Degrees of the free generators of the W-invariant polynomials
+    (Chevalley): 1..n for GL, 2, 4, ..., 2n for Sp and odd SO, and
+    2, ..., 2n-2 and the Pfaffian's n for even SO.  A torus gets GL's
+    degrees, because `weyl_generators` gives it the adjacent transpositions."""
+    n = g.rank
+    if g.family in (GL, TORUS):
+        return tuple(range(1, n + 1))
+    if g.family in (SP, SO_ODD):
+        return tuple(range(2, 2 * n + 1, 2))
+    return (*range(2, 2 * n - 1, 2), n)
+
+
 def weyl_elements(g):
     """All elements of W(g), each exactly once.
 

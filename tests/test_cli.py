@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -249,3 +250,52 @@ def test_closed_pipe_ends_quietly():
     assert head == b"[5,1,1,1,0"
     assert err == b""
     assert code == 141
+
+
+FUZZ_GROUPS = [
+    "GL1", "GL2", "GL3", "Sp2", "Sp4", "Sp6", "SO2", "SO3", "SO4", "SO5",
+    "SO6", "SO7", "T1", "T2", "T3", "SO1", "Sp3", "GL0", "T0",
+]
+FUZZ_REPS = [
+    "std", "dual(std)", "ext(2,std)", "sym(2,std)", "ext(3,std)", "std*std",
+    "std - dual(std)", "std + std", "weights[[1]]", "weights[[1,0]]",
+    "weights[[1,-1],[0,2]]", "weights[[1,0,0],[0,0,1]]", "std +", "sym(,std)",
+]
+FUZZ_POLYS = [
+    "x1", "x1 + x2", "x1*x2", "x1^2 + x2^2", "x1*x2*x3", "x1^2*x2^2*x3^2",
+    "x1 - x2", "1/2", "x1^2 + x2^2 + x3^2", "x4", "x1^",
+]
+
+
+def fuzz_argv(rng):
+    """One random call of one of the six subcommands, valid or not."""
+    group, rep = rng.choice(FUZZ_GROUPS), rng.choice(FUZZ_REPS)
+    i, j = (str(rng.randint(-1, 5)) for _ in range(2))
+    flags = ["--json"] if rng.random() < 0.3 else []
+    command = rng.choice(["chern", "ch", "adams", "lambda", "check-prop", "rewrite"])
+    if command in ("chern", "ch"):
+        if rng.random() < 0.7:
+            flags += ["--max-degree", i]
+        if command == "chern" and rng.random() < 0.5:
+            flags += ["--basis", rng.choice(["monomials", "generators"])]
+        return [command, group, rep, *flags]
+    if command in ("adams", "lambda"):
+        return [command, "-k" if command == "adams" else "-p", i, group, rep, *flags]
+    if command == "check-prop":
+        return [command, group, "--p-max", i, "--degree", j, *flags]
+    return [command, group, rng.choice(FUZZ_POLYS), *flags]
+
+
+def test_fuzzed_calls_keep_the_cli_contract():
+    """Every call ends quickly in a documented exit code, with errors as
+    error[<code>] lines and nothing escaping cli.run."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        argv = fuzz_argv(rng)
+        start = time.monotonic()
+        code, _, err = run_cli(argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code:
+            assert err.startswith("error["), argv

@@ -9,11 +9,12 @@ import pytest
 
 from chernrep.char_ring import VirtualCharacter, gamma_series
 from chernrep.cli import run
-from chernrep.errors import ModelSizeError
+from chernrep import filtration_check
+from chernrep.errors import ModelSizeError, ReductionDefectError
 from chernrep.filtration_check import (
     Subspace,
     TruncatedAlgebra,
-    _kernel,
+    _invariant_count,
     _PropContext,
     gamma_subspace_ambient_cap_invariant,
     gamma_subspace_invariant,
@@ -235,6 +236,47 @@ def action_columns(model, w):
                 char = char * V(n, {w.act(e): 1, zero: -1}) ** k
         cols.append(model.reduce(char))
     return cols
+
+
+def _kernel(equations, ncols):
+    """Integer kernel basis of the linear map given by equation rows, read
+    off their canonical form: for each free column f, the vector with L,
+    the lcm of the pivots, at f and -row[f] L / row[piv] at each pivot."""
+    form = Subspace.from_vectors(ncols, equations)
+    lead = math.lcm(*(row[piv] for piv, row in form._rows.items()))
+    basis = []
+    for free in range(ncols):
+        if free in form._rows:
+            continue
+        vec = [0] * ncols
+        vec[free] = lead
+        for piv, row in form._rows.items():
+            vec[piv] = -row[free] * lead // row[piv]
+        basis.append(vec)
+    return basis
+
+
+def kernel_invariants(model):
+    """The kernel route, the oracle for `invariant_subspace`: for each
+    p = 0..d+1, the joint kernel of the stacked (M_w - 1) over the Weyl
+    generators and of the coordinates of basis degree < p."""
+    stacked = []
+    for w in weyl_generators(model.group):
+        cols = action_columns(model, w)
+        for i in range(model.dim):
+            eq = [col[i] for col in cols]
+            eq[i] -= 1
+            stacked.append(eq)
+    spaces = []
+    for p in range(model.d + 2):
+        below = [
+            [int(i == j) for i in range(model.dim)]
+            for j, k in enumerate(model.degrees)
+            if k < p
+        ]
+        kernel = _kernel(stacked + below, model.dim)
+        spaces.append(Subspace.from_vectors(model.dim, kernel))
+    return spaces
 
 
 # dim of invariant_subspace(p) for p = 0..d+1
@@ -499,3 +541,58 @@ def test_kept_spans_equal_full_box_spans_on_random_boxes():
             assert kept.gamma_subspace(p) == full.gamma_subspace(p)
 
     check()
+
+
+KERNEL_GROUPS = [
+    (GL, 1), (GL, 2), (GL, 3), (GL, 4), (SP, 1), (SP, 2), (SP, 3),
+    (SO_EVEN, 1), (SO_ODD, 1), (SO_EVEN, 2), (SO_ODD, 2),
+    (SO_EVEN, 3), (SO_ODD, 3), (SO_EVEN, 4), (TORUS, 1), (TORUS, 2), (TORUS, 3),
+]
+
+
+def test_invariants_from_the_scan_equal_the_kernel_route():
+    """The span of the unit and the kept orbit-sum images against the joint
+    kernel of (M_w - 1), for every p <= d + 1, and the invariant count
+    against the kernel's dimension."""
+    for family, rank in KERNEL_GROUPS:
+        g = GroupSpec(family, rank)
+        for d in range(1, 6):
+            model = TruncatedAlgebra(g, d)
+            oracle = kernel_invariants(model)
+            assert _invariant_count(g, d) == oracle[0].dim, (g, d)
+            for p in range(d + 2):
+                assert model.invariant_subspace(p) == oracle[p], (g, d, p)
+
+
+def test_short_scan_is_a_defect(monkeypatch):
+    """A degree table that promises one invariant too many makes the scan
+    end short, which is refused as a defect."""
+    count = filtration_check._invariant_count
+    monkeypatch.setattr(
+        filtration_check, "_invariant_count", lambda g, d: count(g, d) + 1
+    )
+    with pytest.raises(ReductionDefectError):
+        TruncatedAlgebra(GroupSpec(SP, 2), 3).invariant_subspace()
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["check-prop", "GL2", "--p-max", "2", "--degree", "3"], out, err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error[defect]: ")
+
+
+def test_check_prop_gl10_degree_four_keeps_its_output():
+    """Recorded from the kernel route (stdout md5
+    a5282b114819e153eb9d4454914d2706), which took about 5 s."""
+    start = time.monotonic()
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["check-prop", "GL10", "--p-max", "4", "--degree", "4"], out, err) == 0
+    assert time.monotonic() - start < 20.0
+    assert err.getvalue() == ""
+    assert out.getvalue() == (
+        "group GL10  truncation degree 4\n"
+        "p=0  dim_gamma_S=12  dim_gamma_R_cap_S=12  equal\n"
+        "p=1  dim_gamma_S=11  dim_gamma_R_cap_S=11  equal\n"
+        "p=2  dim_gamma_S=10  dim_gamma_R_cap_S=10  equal\n"
+        "p=3  dim_gamma_S=8  dim_gamma_R_cap_S=8  equal\n"
+        "p=4  dim_gamma_S=5  dim_gamma_R_cap_S=5  equal\n"
+        "PASS\n"
+    )

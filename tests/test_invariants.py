@@ -15,7 +15,7 @@ from chernrep.invariants import (
     symmetrize,
 )
 from chernrep.reps import standard
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, invariant_degrees
 
 rng = random.Random(77)
 
@@ -89,6 +89,14 @@ def test_generator_degrees_by_family():
     assert [d for _, _, d in generator_definitions(GroupSpec(SP, 3))] == [2, 4, 6]
     assert [d for _, _, d in generator_definitions(GroupSpec(SO_ODD, 3))] == [2, 4, 6]
     assert [d for _, _, d in generator_definitions(GroupSpec(SO_EVEN, 3))] == [2, 4, 3]
+    for family in ALL_FAMILIES:
+        for rank in range(1, 6):
+            g = GroupSpec(family, rank)
+            gens, degrees = generator_definitions(g), invariant_degrees(g)
+            assert tuple(d for _, _, d in gens) == degrees
+            assert tuple(poly.total_degree() for _, poly, _ in gens) == degrees
+    # a torus counts with GL's degrees: its Weyl generators are transpositions
+    assert invariant_degrees(GroupSpec(TORUS, 3)) == (1, 2, 3)
 
 
 def test_generators_are_invariant():
