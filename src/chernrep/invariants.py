@@ -9,9 +9,10 @@ polynomial ring on generators read off the standard representation:
             (equal to (-1)^p e_p(x_1^2..x_l^2))
   SO(2l)    I_p as above for p <= l-1, and the Pfaffian I_l = x_1...x_l
 
-rewrite expresses an invariant polynomial in these generators by elementary
-symmetric reduction; evaluate substitutes the generators back and is the
-round-trip oracle.
+rewrite expresses an invariant polynomial in these generators by one
+leading-term elimination against the generator polynomials themselves, the
+same for every family; evaluate substitutes them back and is the round-trip
+oracle.
 """
 
 from fractions import Fraction
@@ -22,12 +23,11 @@ from .errors import (
     RankMismatchError,
     ReductionDefectError,
 )
-from .graded import SymbolicPolynomial, _terms_json, _terms_text
+from .graded import SymbolicPolynomial, _multiply, _terms_json, _terms_text
 from .weyl import (
     GL,
     SO_EVEN,
     SO_ODD,
-    SP,
     TORUS,
     invariant_degrees,
     weyl_elements,
@@ -179,123 +179,70 @@ class GeneratorExpression:
         return f"GeneratorExpression({self.group!r}, {self.terms!r})"
 
 
+def _generator_products(g):
+    """The generators' integer terms, and the terms of I^k = prod_p I_p^(k_p)
+    as a function of k, each product built once as a smaller product times
+    one generator.  The memo lives as long as the returned function."""
+    gens = [
+        {e: int(c) for e, c in poly.terms.items()}
+        for _, poly, _ in generator_definitions(g)
+    ]
+    memo = {(0,) * len(gens): {(0,) * g.torus_rank: 1}}
+
+    def product(k):
+        chain = []
+        while k not in memo:
+            p = next(p for p, kp in enumerate(k) if kp)
+            chain.append((k, p))
+            k = k[:p] + (k[p] - 1,) + k[p + 1 :]
+        for key, p in reversed(chain):
+            memo[key] = _multiply(memo[k], gens[p])
+            k = key
+        return memo[k]
+
+    return gens, product
+
+
 def evaluate(expr):
     """Substitute the generator polynomials into an expression and expand."""
-    gens = [poly for _, poly, _ in generator_definitions(expr.group)]
-    rank = expr.group.torus_rank
-    out = SymbolicPolynomial.zero(rank)
-    for exps, c in expr.terms.items():
-        term = SymbolicPolynomial.constant(rank, c)
-        for gen, k in zip(gens, exps):
-            if k:
-                term = term * gen**k
-        out = out + term
-    return out
-
-
-def _reduce_symmetric(f):
-    """Write a symmetric polynomial in the elementary symmetrics e_1..e_n
-    by leading-term elimination in graded lex order.  Returns the exponent
-    map over (e_1..e_n)."""
-    n = f.rank
-    xs = [SymbolicPolynomial.variable(n, i) for i in range(1, n + 1)]
-    es = elementary_symmetric_all(xs, n)
-    out = {}
-    rest = f
-    while rest:
-        lead = max(rest.terms, key=lambda e: (sum(e), e))
-        if any(lead[i] < lead[i + 1] for i in range(n - 1)):
-            raise ReductionDefectError(
-                f"leading exponent {lead} not sorted; input was not symmetric"
-            )
-        c = rest.terms[lead]
-        exps = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
-        out[exps] = c
-        prod = SymbolicPolynomial.constant(n, c)
-        for i, k in enumerate(exps):
-            if k:
-                prod = prod * es[i + 1] ** k
-        rest = rest - prod
-    return out
-
-
-def _check_even_exponents(f, what):
-    for e in f.terms:
-        if any(k % 2 for k in e):
-            raise ReductionDefectError(f"{what} has an odd exponent {e}")
-
-
-def _halve_exponents(f):
-    return SymbolicPolynomial(
-        f.rank, {tuple(k // 2 for k in e): c for e, c in f.terms.items()}
-    )
-
-
-def _signed_translate(reduced, group, pfaffian_to_square):
-    """Map e_p(x^2) exponents to generator exponents: e_p -> (-1)^p I_p, and
-    for SO(2l) the top e_l -> I_l^2."""
-    n = group.rank
+    _, product = _generator_products(expr.group)
     terms = {}
-    for exps, c in reduced.items():
-        sign = 1
-        new = list(exps)
-        for p, k in enumerate(exps, start=1):
-            if pfaffian_to_square and p == n:
-                new[n - 1] = 2 * k
-            elif (p * k) % 2:
-                sign = -sign
-        terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + sign * c
-    return terms
+    for k, c in expr.terms.items():
+        for e, v in product(k).items():
+            terms[e] = terms.get(e, 0) + c * v
+    return SymbolicPolynomial(expr.group.torus_rank, terms)
 
 
 def rewrite(f, g):
     """Express a Weyl-invariant polynomial in the classical generators.
 
-    GL uses the elementary symmetric reduction directly.  For Sp and SOodd
-    every invariant is even in each variable; substituting y_i = x_i^2
-    leaves a symmetric polynomial which is reduced and translated through
-    e_p(y) = (-1)^p I_p.  For SOeven the polynomial is first split into its
-    even and odd parts under x_1 -> -x_1 (an automorphism outside W); the
-    odd part is divisible by the Pfaffian monomial with invariant quotient,
-    both halves reduce as above with e_l(y) = I_l^2.
+    Leading-term elimination in graded lex order against the generators
+    themselves.  The leading exponent of I_p is s_p (1..1, 0..0) with p
+    ones, s_p = 1 for GL and the Pfaffian and 2 otherwise, and the leading
+    term of a product is the product of the leading terms.  So the leading
+    exponent lambda of the remainder is that of I^k with
+    k_p = (lambda_p - lambda_(p+1)) / s_p, and subtracting c I^k removes it.
+    A torus has no generators and is refused.
     """
-    if g.family == TORUS:
-        raise NoCanonicalGeneratorsError(
-            "a torus has no canonical invariant generators"
-        )
+    gens, product = _generator_products(g)
     if not is_invariant(f, g):
         raise InvarianceError("rewrite needs a Weyl-invariant polynomial")
-    n = g.rank
-    if g.family == GL:
-        return GeneratorExpression(g, _reduce_symmetric(f))
-    if g.family in (SP, SO_ODD):
-        _check_even_exponents(f, "invariant for a signed-permutation group")
-        reduced = _reduce_symmetric(_halve_exponents(f))
-        return GeneratorExpression(g, _signed_translate(reduced, g, False))
-    # SOeven: split against the single sign flip
-    flipped = SymbolicPolynomial(
-        n, {e: (-c if e[0] % 2 else c) for e, c in f.terms.items()}
-    )
-    even = (f + flipped) * Fraction(1, 2)
-    minus = (f - flipped) * Fraction(1, 2)
-    _check_even_exponents(even, "even part")
-    terms = _signed_translate(_reduce_symmetric(_halve_exponents(even)), g, True)
-    if minus:
-        for e in minus.terms:
-            if any(k % 2 == 0 for k in e):
-                raise ReductionDefectError(
-                    f"odd part has a non-odd exponent {e}"
-                )
-        quotient = SymbolicPolynomial(
-            n, {tuple(k - 1 for k in e): c for e, c in minus.terms.items()}
-        )
-        _check_even_exponents(quotient, "odd-part quotient")
-        reduced = _signed_translate(
-            _reduce_symmetric(_halve_exponents(quotient)), g, True
-        )
-        for exps, c in reduced.items():
-            key = exps[: n - 1] + (exps[n - 1] + 1,)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return GeneratorExpression(g, terms)
+    steps = [max(gen, key=lambda e: (sum(e), e))[0] for gen in gens]
+    rest = dict(f.terms)
+    out = {}
+    while rest:
+        lead = max(rest, key=lambda e: (sum(e), e))
+        gaps = [a - b for a, b in zip(lead, lead[1:] + (0,))]
+        if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)):
+            raise ReductionDefectError(
+                f"leading exponent {lead} is not that of a generator monomial; "
+                "input was not invariant"
+            )
+        k = tuple(gap // s for gap, s in zip(gaps, steps))
+        term = product(k)
+        c = out[k] = rest[lead] / term[lead]
+        for e, v in term.items():
+            rest[e] = rest.get(e, 0) - c * v
+            if not rest[e]:
+                del rest[e]
+    return GeneratorExpression(g, out)

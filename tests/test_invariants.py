@@ -1,8 +1,11 @@
+import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from chernrep import cli, invariants
 from chernrep.errors import InvarianceError, NoCanonicalGeneratorsError
 from chernrep.graded import SymbolicPolynomial, total_chern
 from chernrep.invariants import (
@@ -232,3 +235,116 @@ def test_symmetrize_projector():
             s = symmetrize(f, g)
             assert is_invariant(s, g)
             assert symmetrize(s, g) == s
+
+
+# stdout digests of `chernrep <argv>`: the printed text may not change with the
+# route that rewrite takes to the unique generator expression
+PINNED_STDOUT_MD5 = [
+    (["chern", "SO7", "std*std", "--basis", "generators"],
+     "c16f05856293ad43ece14df763e0287d"),
+    (["chern", "GL5", "sym(3,std)", "--max-degree", "8", "--basis", "generators"],
+     "e03f87d334355be750e0b8b72bf13d91"),
+    (["chern", "Sp8", "ext(2,std)", "--max-degree", "10", "--basis", "generators"],
+     "81bb424ca44201ab5ac553c72a843536"),
+    (["chern", "SO8", "std*std", "--max-degree", "12", "--basis", "generators",
+      "--json"], "ed98a612e08fc55bb2bab3b952dc8a0a"),
+    (["chern", "SO10", "std", "--basis", "generators"],
+     "8ef0f63eadb2859398fda519ce9a1de2"),
+    (["rewrite", "SO6", "x1*x2*x3*(x1^2+x2^2+x3^2) + 3/7*x1^3*x2^3*x3^3 + 2"],
+     "9ea728eb37227b64c12e561447bd6f73"),
+    (["rewrite", "SO2", "x1^3 + 2*x1 - 1/3"], "fe2a69bf6dbac0a4e547d0a851bedc8d"),
+    (["rewrite", "SO3", "x1^4 - 5*x1^2"], "8c06bdb77af08f0d71e754b499a0a47f"),
+    (["rewrite", "GL1", "7*x1^5 - x1"], "1951d8f105b7b8ae447fd57404ed41e7"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_STDOUT_MD5, ids=[" ".join(a) for a, _ in PINNED_STDOUT_MD5]
+)
+def test_rewrite_stdout_pinned(argv, digest):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(argv, out, err) == 0, err.getvalue()
+    assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group", ["GL2", "Sp4"])
+def test_rewrite_defect_guard(monkeypatch, group):
+    # x1 is not invariant; with the invariance check bypassed the elimination
+    # must still stop at a leading exponent that no generator monomial has
+    monkeypatch.setattr(invariants, "is_invariant", lambda f, g: True)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["rewrite", group, "x1"], out, err) == 2
+    assert err.getvalue().startswith("error[defect]: ")
+    assert out.getvalue() == ""
+
+
+def test_rewrite_inverts_evaluate():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def expressions(g):
+        exps = st.tuples(*[st.integers(0, 2)] * g.rank).filter(lambda e: sum(e) <= 4)
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        terms = st.dictionaries(exps, coeffs, max_size=4)
+        return terms.map(lambda t: GeneratorExpression(g, t))
+
+    groups = st.builds(GroupSpec, st.sampled_from(ALL_FAMILIES), st.integers(1, 4))
+
+    @hypothesis.settings(deadline=None, max_examples=150)
+    @hypothesis.given(groups.flatmap(expressions))
+    def run_check(e):
+        assert rewrite(evaluate(e), e.group) == e
+
+    run_check()
+
+
+def _sympy_symmetrize_oracle(family, rank, seed):
+    """rewrite against sympy's symmetrize: in the x_i for GL, and in
+    y_i = x_i^2 with s_p -> (-1)^p I_p for Sp and odd SO."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize
+
+    local = random.Random(seed)
+    g = GroupSpec(family, rank)
+    ys = sympy.symbols(f"y1:{rank + 1}")
+    gens = sympy.symbols(f"I1:{rank + 1}")
+    step = 1 if family == GL else 2
+    for _ in range(6):
+        terms = {}
+        for _ in range(local.randint(1, 4)):
+            e = [0] * rank
+            for _ in range(local.randint(0, 5)):
+                e[local.randrange(rank)] += step
+            terms[tuple(e)] = Fraction(local.randint(-4, 4), local.randint(1, 3))
+        f = symmetrize(P(rank, terms), g)
+        f_in_y = sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*[y**(k // step) for y, k in zip(ys, e)])
+             for e, c in f.terms.items()),
+            sympy.Integer(0),
+        )
+        sym, remainder, defs = sympy_symmetrize(f_in_y, *ys, formal=True)
+        assert remainder == 0
+        sign = 1 if family == GL else -1
+        expected = sym.subs(
+            {s: sign**p * gens[p - 1] for p, (s, _) in enumerate(defs, start=1)},
+            simultaneous=True,
+        )
+        got = sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*[I**k for I, k in zip(gens, e)])
+             for e, c in rewrite(f, g).terms.items()),
+            sympy.Integer(0),
+        )
+        assert sympy.expand(expected - got) == 0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_rewrite_matches_sympy_symmetrize_gl(rank):
+    _sympy_symmetrize_oracle(GL, rank, seed=rank)
+
+
+@pytest.mark.parametrize("family", [SP, SO_ODD])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_rewrite_matches_sympy_symmetrize_signed(family, rank):
+    _sympy_symmetrize_oracle(family, rank, seed=10 * rank)
