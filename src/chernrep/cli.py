@@ -7,7 +7,7 @@ are written to stderr as ``error[<code>]: message``.
 """
 
 import argparse
-import json
+import functools
 import sys
 
 from .char_ring import adams as adams_op
@@ -36,13 +36,24 @@ class UsageError(ChernRepError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and writes help to the streams of its run."""
+
+    def __init__(self, *args, streams, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.streams = streams
+
+    def _print_message(self, message, file=None):
+        out, err = self.streams
+        (out if file is None or file is sys.stdout else err).write(message)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _build_parser():
-    parser = _Parser(prog="chernrep", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _build_parser(out, err):
+    make = functools.partial(_Parser, streams=(out, err))
+    parser = make(prog="chernrep", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     chern = sub.add_parser("chern", help="total Chern class of a representation")
     chern.add_argument("group")
@@ -85,6 +96,7 @@ def _build_parser():
 
 
 def _emit_json(obj, out):
+    import json  # here, not at the top: only --json output needs it
     print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")), file=out)
 
 
@@ -115,34 +127,20 @@ def _cmd_chern(args, out, err):
             raise InvarianceError(
                 "character is not Weyl-invariant; --basis generators needs a G-representation"
             )
-        expr = rewrite(poly, g)
-        if args.json:
-            _emit_json(
-                {
-                    "group": str(g),
-                    "rep": args.rep,
-                    "max_degree": d,
-                    "basis": "generators",
-                    "total_chern": expr.to_json_obj(),
-                },
-                out,
-            )
-        else:
-            print(expr.to_text(), file=out)
+        poly = rewrite(poly, g)
+    if args.json:
+        _emit_json(
+            {
+                "group": str(g),
+                "rep": args.rep,
+                "max_degree": d,
+                "basis": args.basis,
+                "total_chern": poly.to_json_obj(),
+            },
+            out,
+        )
     else:
-        if args.json:
-            _emit_json(
-                {
-                    "group": str(g),
-                    "rep": args.rep,
-                    "max_degree": d,
-                    "basis": "monomials",
-                    "total_chern": poly.to_json_obj(),
-                },
-                out,
-            )
-        else:
-            print(poly.to_text(), file=out)
+        print(poly.to_text(), file=out)
     return 0
 
 
@@ -260,7 +258,7 @@ _COMMANDS = {
 def run(argv, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    parser = _build_parser(out, err)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out, err)

@@ -30,13 +30,12 @@ integer rows and positive pivots, which is canonical, so subspace equality
 is literal equality.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .char_ring import VirtualCharacter, binomial
 from .errors import ReductionDefectError, model_dimension
-from .weyl import dominant_weights, invariant_degrees, orbit
+from .weyl import _Record, dominant_weights, invariant_degrees, orbit
 
 
 def _primitive(vec):
@@ -389,21 +388,13 @@ def gamma_subspace_ambient_cap_invariant(g, p, d):
     return TruncatedAlgebra(g, d).invariant_subspace(p)
 
 
-@dataclass(frozen=True)
-class PropEntry:
-    p: int
-    dim_gamma_S: int
-    dim_gamma_R_cap_S: int
-    equal: bool
-    witnesses: tuple = ()
+class PropEntry(_Record):
+    __slots__ = ("p", "dim_gamma_S", "dim_gamma_R_cap_S", "equal", "witnesses")
+    _defaults = {"witnesses": ()}
 
 
-@dataclass(frozen=True)
-class PropReport:
-    group: str
-    d: int
-    entries: tuple
-    passed: bool
+class PropReport(_Record):
+    __slots__ = ("group", "d", "entries", "passed")
 
     def to_json_obj(self):
         return {

@@ -5,7 +5,6 @@ All canonical text emitted by the library round-trips through these parsers.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import reps
@@ -13,7 +12,7 @@ from .char_ring import VirtualCharacter
 from .errors import ParseError
 from .graded import SymbolicPolynomial
 from .invariants import GeneratorExpression
-from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
+from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, _Record
 
 _GROUP_RX = re.compile(r"^(GL|Sp|SO|T)(\d+)$")
 
@@ -219,49 +218,36 @@ def parse_character(text, rank):
 # --- representation expressions -----------------------------------------
 
 
-@dataclass(frozen=True)
-class RStd:
-    pass
+class RStd(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RExt:
-    power: int
-    arg: object
+class RExt(_Record):
+    __slots__ = ("power", "arg")
 
 
-@dataclass(frozen=True)
-class RSym:
-    power: int
-    arg: object
+class RSym(_Record):
+    __slots__ = ("power", "arg")
 
 
-@dataclass(frozen=True)
-class RDual:
-    arg: object
+class RDual(_Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class RWeights:
-    weights: tuple
+class RWeights(_Record):
+    __slots__ = ("weights",)
 
 
-@dataclass(frozen=True)
-class RAdd:
-    left: object
-    right: object
+class RAdd(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RSub:
-    left: object
-    right: object
+class RSub(_Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class RMul:
-    left: object
-    right: object
+class RMul(_Record):
+    __slots__ = ("left", "right")
 
 
 def _parse_rep_expr(toks, g):

@@ -7,9 +7,8 @@ permutations for Sp(2l) and SO(2l+1), and evenly-signed permutations for
 SO(2l), acting in the standard coordinates of the lattice.
 """
 
-from dataclasses import dataclass
 from itertools import groupby, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .errors import EnumerationLimitError, RankMismatchError
 
@@ -26,14 +25,53 @@ FAMILIES = (GL, SP, SO_ODD, SO_EVEN, TORUS)
 ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Record:
+    """An immutable value whose fields are its __slots__, given by position
+    or keyword (else from _defaults).  Records are equal, and hash alike,
+    when of one class with equal fields."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            # dict() refuses a field given both by position and by keyword
+            values = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+            if len(args) > len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    __reduce__ = _key  # copy and pickle rebuild a record from its class and fields
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, _Record) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()[1]))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupSpec(_Record):
     """A classical reductive group (or torus) given by family and rank."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
+    def __init__(self, family, rank):
+        super().__init__(family, rank)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.rank < 1:
@@ -64,14 +102,13 @@ class GroupSpec:
         return f"{'Sp' if self.family == SP else 'SO'}{self.ambient_dim}"
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Record):
     """perm[j] is the image slot of slot j; signs[i] multiplies slot i."""
 
-    perm: tuple
-    signs: tuple
+    __slots__ = ("perm", "signs")
 
-    def __post_init__(self):
+    def __init__(self, perm, signs):
+        super().__init__(perm, signs)
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
             raise ValueError("not a signed permutation")
@@ -161,15 +198,8 @@ def weyl_elements(g):
             for s in product((1, -1), repeat=n)
         ]
     # SOeven: only sign vectors with product +1
-    out = []
-    for p in perms:
-        for s in product((1, -1), repeat=n):
-            sign_product = 1
-            for v in s:
-                sign_product *= v
-            if sign_product == 1:
-                out.append(SignedPermutation(p, s))
-    return out
+    signs = [s for s in product((1, -1), repeat=n) if prod(s) == 1]
+    return [SignedPermutation(p, s) for p in perms for s in signs]
 
 
 def weyl_generators(g):

@@ -171,10 +171,58 @@ def test_computation_errors_exit_2():
 
 
 def test_help_exits_zero():
-    code, _, _ = run_cli(["--help"])
-    assert code == 0
-    code, _, _ = run_cli(["chern", "--help"])
-    assert code == 0
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: chernrep [-h]") and "check-prop" in out
+    code, out, err = run_cli(["chern", "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: chernrep chern [-h]") and "--basis" in out
+
+
+def test_help_text_matches_the_command_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["check-prop", "--help"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chernrep", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert run_cli(argv) == (0, proc.stdout, "")
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chernrep.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _imports(*args):
+    """The modules a fresh `python *args` imports, read off -X importtime,
+    and the finished process."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}, proc
+
+
+def test_start_up_imports_no_dataclasses_or_json():
+    bare, _ = _imports("-c", "pass")
+    loaded, _ = _imports("-c", "import chernrep.cli")
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+    assert not heavy & (loaded - bare)
+    layers = ("cli", "parsing", "reps", "char_ring", "graded", "invariants", "weyl",
+              "filtration_check")
+    assert {f"chernrep.{layer}" for layer in layers} <= loaded
+    loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std")
+    assert proc.stdout == "1 + x1 + x2 + x1*x2\n"
+    assert "json" not in loaded - bare
+    loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std", "--json")
+    assert json.loads(proc.stdout)["basis"] == "monomials"
+    assert "json" in loaded | bare
 
 
 def test_json_outputs_are_deterministic():
@@ -232,12 +280,9 @@ def test_check_prop_gl10_ends_in_a_result():
 def test_closed_pipe_ends_quietly():
     """The reader closes stdout after 10 bytes of a 175 KB output, more
     than a pipe buffers: no traceback, exit status 128 + SIGPIPE."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(chernrep.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "chernrep", "lambda", "-p", "5", "SO10", "ext(2,std)"]
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
     )
     try:
         head = proc.stdout.read(10)

@@ -12,6 +12,8 @@ from chernrep.cli import run
 from chernrep import filtration_check
 from chernrep.errors import ModelSizeError, ReductionDefectError
 from chernrep.filtration_check import (
+    PropEntry,
+    PropReport,
     Subspace,
     TruncatedAlgebra,
     _invariant_count,
@@ -596,3 +598,20 @@ def test_check_prop_gl10_degree_four_keeps_its_output():
         "p=4  dim_gamma_S=5  dim_gamma_R_cap_S=5  equal\n"
         "PASS\n"
     )
+
+
+def test_prop_records_are_immutable_values():
+    entry = PropEntry(1, 2, 2, True)
+    assert entry.witnesses == ()
+    assert entry == PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=())
+    assert entry != PropEntry(1, 2, 2, True, ((1, 0),))
+    report = PropReport(group="GL2", d=2, entries=(entry,), passed=True)
+    assert report == PropReport("GL2", 2, (entry,), True)
+    assert report.to_json_obj()["pass"] is True
+    assert repr(entry) == (
+        "PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=())"
+    )
+    with pytest.raises(AttributeError):
+        report.passed = False
+    with pytest.raises(TypeError):
+        PropReport(group="GL2", d=2, entries=(entry,))

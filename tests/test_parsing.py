@@ -13,6 +13,8 @@ from chernrep.parsing import (
     RExt,
     RMul,
     RStd,
+    RSub,
+    RSym,
     RWeights,
     parse_character,
     parse_generator_expression,
@@ -68,6 +70,22 @@ def test_parse_rep_precedence():
     assert node == RAdd(RStd(), RMul(RStd(), RStd()))
     grouped = parse_rep("(std+std)*std", g)
     assert grouped == RMul(RAdd(RStd(), RStd()), RStd())
+
+
+def test_rep_nodes_are_immutable_values():
+    a, b = RStd(), RDual(RStd())
+    assert RStd() == RStd() and hash(RStd()) == hash(RStd())
+    assert RExt(2, RStd()) != RSym(2, RStd())
+    assert RAdd(a, b) != RSub(a, b) and RSub(a, b) != RMul(a, b)
+    assert RAdd(a, b) == RAdd(left=RStd(), right=RDual(RStd()))
+    assert hash(RAdd(a, b)) == hash(RAdd(RStd(), RDual(RStd())))
+    assert repr(RExt(2, a)) == "RExt(power=2, arg=RStd())"
+    assert repr(RWeights(((1,),))) == "RWeights(weights=((1,),))"
+    with pytest.raises(AttributeError):
+        RExt(2, a).power = 3
+    for args, kwargs in [((a,), {}), ((a, b, a), {}), ((a,), {"left": a}), ((a, b), {"up": a})]:
+        with pytest.raises(TypeError):
+            RAdd(*args, **kwargs)
 
 
 def test_parse_rep_errors_have_position():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -132,15 +134,43 @@ def test_enumeration_guard():
 
 
 def test_group_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rank must be >= 1$"):
         GroupSpec(GL, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown family 'E8'$"):
         GroupSpec("E8", 8)
+    with pytest.raises(ValueError, match=r"^unknown family 'XX'$"):
+        GroupSpec("XX", 2)
     assert GroupSpec(SP, 2).ambient_dim == 4
     assert GroupSpec(SO_ODD, 2).ambient_dim == 5
     assert GroupSpec(SO_EVEN, 3).ambient_dim == 6
     assert str(GroupSpec(SO_EVEN, 3)) == "SO6"
     assert str(GroupSpec(TORUS, 2)) == "T2"
+
+
+def test_signed_permutation_validation():
+    for perm, signs in [((0, 0), (1, 1)), ((0, 2), (1, 1)), ((1, 0), (1,))]:
+        with pytest.raises(ValueError, match=r"^not a signed permutation$"):
+            SignedPermutation(perm, signs)
+    with pytest.raises(ValueError, match=r"^signs must be \+-1$"):
+        SignedPermutation((1, 0), (1, 2))
+
+
+def test_group_spec_and_signed_permutation_are_immutable_values():
+    g = GroupSpec(GL, 2)
+    w = SignedPermutation((1, 0), (1, -1))
+    assert repr(g) == "GroupSpec(family='GL', rank=2)"
+    assert repr(w) == "SignedPermutation(perm=(1, 0), signs=(1, -1))"
+    assert g == GroupSpec(family="GL", rank=2) and hash(g) == hash(GroupSpec("GL", 2))
+    assert g != GroupSpec(GL, 3) and g != GroupSpec(SP, 2) and g != ("GL", 2)
+    assert w == SignedPermutation(signs=(1, -1), perm=(1, 0))
+    assert w.inverse().inverse() == w and len({w, w.inverse().inverse()}) == 1
+    for value, field in [(g, "rank"), (w, "signs")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_dominant_weights_one_per_orbit_by_norm():
