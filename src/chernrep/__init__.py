@@ -22,7 +22,6 @@ from .filtration_check import (
 from .graded import (
     BEYOND_CAP,
     SymbolicPolynomial,
-    chern_character,
     chern_class,
     filtration_degree,
     leading_class,
@@ -71,7 +70,6 @@ __all__ = [
     "adams_via_series",
     "assert_g_rep",
     "augmentation",
-    "chern_character",
     "chern_class",
     "dual",
     "evaluate",

@@ -27,6 +27,29 @@ def binomial(n, k):
     return num // factorial(k)
 
 
+def _code(vec, base):
+    """The integer whose base-`base` digits are the entries of vec, first
+    entry most significant.  It is linear in vec, so the code of a sum is
+    the sum of the codes; it decodes back while every entry lies in a
+    window of `base` consecutive integers."""
+    code = 0
+    for v in vec:
+        code = code * base + v
+    return code
+
+
+def _decode(code, rank, base, low=0):
+    """The vector of `rank` entries in [low, low + base) with the given
+    `_code`."""
+    vec = []
+    for _ in range(rank):
+        digit = (code - low) % base + low
+        vec.append(digit)
+        code = (code - digit) // base
+    vec.reverse()
+    return tuple(vec)
+
+
 class VirtualCharacter:
     """Finitely supported map weight -> nonzero integer multiplicity."""
 
@@ -64,12 +87,6 @@ class VirtualCharacter:
             w = tuple(w)
             terms[w] = terms.get(w, 0) + 1
         return cls(rank, terms)
-
-    def multiplicity(self, weight):
-        return self.terms.get(tuple(weight), 0)
-
-    def support(self):
-        return sorted(self.terms)
 
     def _check_rank(self, other):
         if self.rank != other.rank:
@@ -204,11 +221,6 @@ class CharSeries:
             raise IndexError(f"degree {p} outside truncation 0..{self.degree}")
         return self.coeffs[p]
 
-    def truncate(self, degree):
-        if degree > self.degree:
-            raise ValueError("cannot extend a truncated series")
-        return CharSeries(self.rank, self.coeffs[: degree + 1])
-
     def __mul__(self, other):
         if self.rank != other.rank:
             raise RankMismatchError("series rank mismatch")
@@ -237,14 +249,6 @@ class CharSeries:
             inv.append(-acc)
         return CharSeries(self.rank, inv)
 
-    def derivative(self):
-        coeffs = [
-            self.coeffs[p] * p for p in range(1, self.degree + 1)
-        ]
-        if not coeffs:
-            coeffs = [VirtualCharacter.zero(self.rank)]
-        return CharSeries(self.rank, coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, CharSeries)
@@ -263,9 +267,9 @@ def lambda_series(x, d):
     (1 + [a]t)^(m_a), expanded by the generalized binomial series
     (1 + [a]t)^m = sum_j C(m, j) [j*a] t^j.  The coefficients e_0..e_d are
     plain dicts keyed by integer weight codes: with B = 2*d*max|coordinate|
-    + 1, the weight (c_0, ..., c_(n-1)) has code sum c_i B^i in balanced
-    base-B digits.  Every weight of degree <= d has coordinates bounded by
-    d*max|coordinate|, so adding weights is adding codes, with no carry.
+    + 1, a weight's code is `_code` in base B, read back as balanced digits.
+    Every weight of degree <= d has coordinates bounded by d*max|coordinate|,
+    so adding weights is adding codes, with no carry.
 
     A weight with m > 0 updates e_k += sum_(1<=j<=min(m,k)) C(m, j)
     [j*a] e_(k-j) for k = d down to 1, reading only old lower coefficients.
@@ -281,7 +285,7 @@ def lambda_series(x, d):
     base = 2 * bound + 1
     coeffs = [{0: 1}] + [{} for _ in range(d)]
     for w, m in x.terms.items():
-        code = sum(c * base**i for i, c in enumerate(w))
+        code = _code(w, base)
         n, sign = abs(m), 1 if m > 0 else -1
         binoms = [sign * binomial(n, j) for j in range(min(n, d) + 1)]
         for k in range(d, 0, -1) if m > 0 else range(1, d + 1):
@@ -291,58 +295,46 @@ def lambda_series(x, d):
                 for key, v in coeffs[k - j].items():
                     key += shift
                     ek[key] = ek.get(key, 0) + c * v
-
-    def weight(code):
-        coords = []
-        for _ in range(rank):
-            digit = (code + bound) % base - bound
-            coords.append(digit)
-            code = (code - digit) // base
-        return tuple(coords)
-
     return CharSeries(
         rank,
         [
-            VirtualCharacter(rank, {weight(key): v for key, v in ek.items()})
+            VirtualCharacter(
+                rank, {_decode(key, rank, base, -bound): v for key, v in ek.items()}
+            )
             for ek in coeffs
         ],
     )
 
 
 def adams_via_series(k, x):
-    """Adams operation extracted from the generating function
-    sum_k psi^k(x) (-t)^(k-1) = lambda_t(x)^(-1) * d/dt lambda_t(x)."""
+    """Adams operation read off the lambda series by Newton's identity
+    psi^j = sum_(i<j) (-1)^(i-1) lambda^i psi^(j-i) + (-1)^(j-1) j lambda^j,
+    the coefficientwise form of sum_j psi^j(x) (-t)^(j-1) =
+    lambda_t(x)^(-1) * d/dt lambda_t(x)."""
     if k < 1:
         raise ValueError("adams operations need k >= 1")
-    lam = lambda_series(x, k)
-    rhs = lam.inverse().truncate(k - 1) * lam.derivative()
-    coeff = rhs.coefficient(k - 1)
-    return coeff if k % 2 == 1 else -coeff
+    lam = lambda_series(x, k).coeffs
+    psi = [None]
+    for j in range(1, k + 1):
+        acc = lam[j] * ((-1) ** (j - 1) * j)
+        for i in range(1, j):
+            acc = acc + lam[i] * psi[j - i] * (-1) ** (i - 1)
+        psi.append(acc)
+    return psi[k]
 
 
 def gamma_series(x, d):
     """gamma_t(x) = lambda_{t/(1-t)}(x) truncated at degree d.
 
-    The substitution expands (1-t)^(-1) as the truncated geometric series:
-    with u = t * (1 + t + t^2 + ...), gamma_t(x) = sum_p lambda^p(x) u^p.
+    The coefficient of t^q in (t/(1-t))^p is C(q-1, p-1), so
+    gamma^q(x) = sum_(1<=p<=q) C(q-1, p-1) lambda^p(x) for q >= 1.
     """
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    rank = x.rank
-    lam = lambda_series(x, d)
-    u = [0] + [1] * d  # t/(1-t) truncated
-    upow = [1] + [0] * d  # u^0
-    out = [lam.coefficient(0)] + [VirtualCharacter.zero(rank) for _ in range(d)]
-    for p in range(1, d + 1):
-        nxt = [0] * (d + 1)
-        for i, a in enumerate(upow):
-            if a:
-                for j in range(1, d + 1 - i):
-                    nxt[i + j] += a * u[j]
-        upow = nxt
-        lam_p = lam.coefficient(p)
-        if lam_p:
-            for q in range(p, d + 1):
-                if upow[q]:
-                    out[q] = out[q] + lam_p * upow[q]
-    return CharSeries(rank, out)
+    lam = lambda_series(x, d).coeffs
+    out = list(lam)
+    for q in range(2, d + 1):
+        for p in range(1, q):
+            if lam[p]:
+                out[q] = out[q] + lam[p] * binomial(q - 1, p - 1)
+    return CharSeries(x.rank, out)

@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
 )
 from .filtration_check import verify_prop
-from .graded import chern_character, total_chern
+from .graded import symbol_map, total_chern
 from .invariants import rewrite
 from .parsing import (
     parse_group,
@@ -148,7 +148,7 @@ def _cmd_ch(args, out, err):
     g = parse_group(args.group)
     x = _character_for(args, g)
     d = _degree_for(args, x)
-    poly = chern_character(x, d)
+    poly = symbol_map(x, d)
     if args.json:
         _emit_json(
             {

@@ -33,8 +33,9 @@ is literal equality.
 from fractions import Fraction
 from math import gcd
 
-from .char_ring import VirtualCharacter, binomial
+from .char_ring import VirtualCharacter, _code
 from .errors import ReductionDefectError, model_dimension
+from .graded import _binomial_power, _form, _product
 from .weyl import _Record, dominant_weights, invariant_degrees, orbit
 
 
@@ -140,24 +141,19 @@ class TruncatedAlgebra:
         self.group = group
         self.d = d
         self.rank = n
-        self.monomials = self._enumerate(n, d)
-        self.degrees = [sum(m) for m in self.monomials]
-        # a monomial's code sum m_i (d+1)^i; codes of a product add without
-        # carry, because no exponent of a basis monomial exceeds d
-        self.codes = [
-            sum(k * (d + 1) ** i for i, k in enumerate(m)) for m in self.monomials
-        ]
-        self.index = {c: j for j, c in enumerate(self.codes)}
-        self._binomials = {}  # a -> [binomial(a, k) for k = 0..d]
-        self._invariants = None  # the W-invariant subspace, built on first use
-        self.orbit_sums = None  # the orbit sums its scan keeps
-
-    @staticmethod
-    def _enumerate(n, d):
         mons = [()]
         for _ in range(n):
             mons = [m + (k,) for m in mons for k in range(d + 1 - sum(m))]
-        return sorted(mons, key=lambda m: (sum(m), m))
+        # basis order is monomial code order in base d + 1 (graded lex), and
+        # a product of basis monomials lies in the model iff its code < cut
+        self.monomials = sorted(mons, key=lambda m: (sum(m), m))
+        self.degrees = [sum(m) for m in self.monomials]
+        self.codes = [_code((k, *m), d + 1) for k, m in zip(self.degrees, self.monomials)]
+        self.index = {c: j for j, c in enumerate(self.codes)}
+        self._cut = (d + 1) ** (n + 1)
+        self._powers = {}  # (i, a) -> coded (1 + u_i)^a through degree d
+        self._invariants = None  # the W-invariant subspace, built on first use
+        self.orbit_sums = None  # the orbit sums its scan keeps
 
     def zero(self):
         return [0] * self.dim
@@ -174,45 +170,40 @@ class TruncatedAlgebra:
         if x.rank != self.rank:
             raise ValueError("character rank does not match the model")
         vec = self.zero()
-        d, index, binomials = self.d, self.index, self._binomials
+        index, cut, powers = self.index, self._cut, self._powers
         for w, mult in x.terms.items():
-            terms = [(0, 0, mult)]  # (degree, code, coefficient)
+            terms = None
             for i, a in enumerate(w):
                 if not a:
                     continue
-                row = binomials.get(a)
-                if row is None:
-                    row = binomials[a] = [binomial(a, k) for k in range(d + 1)]
-                step = (d + 1) ** i
-                terms = [
-                    (deg + k, code + k * step, c * row[k])
-                    for deg, code, c in terms
-                    for k in range(d + 1 - deg)
-                    if row[k]
-                ]
-            for _, code, c in terms:
-                vec[index[code]] += c
+                power = powers.get((i, a))
+                if power is None:
+                    u = _form([int(j == i) for j in range(self.rank)], self.d + 1)
+                    power = powers[i, a] = _binomial_power(u, a, self.d, cut)
+                terms = power if terms is None else _product(terms, power, cut)
+            for code, c in (terms or {0: 1}).items():
+                vec[index[code]] += mult * c
         return vec
 
     def multiply(self, u, v):
         """Product of two model vectors.  Both supports run in basis order,
-        which is by degree, so the inner walk stops where the degree of the
-        product would pass d."""
+        which is code order, so the inner walk stops where the code of the
+        product reaches the cut, past degree d."""
         out = [0] * self.dim
-        index, codes, degrees, d = self.index, self.codes, self.degrees, self.d
-        support_v = [(degrees[j], codes[j], b) for j, b in enumerate(v) if b]
+        index, codes, cut = self.index, self.codes, self._cut
+        support_v = [(codes[j], b) for j, b in enumerate(v) if b]
         if not support_v:
             return out
         lowest = support_v[0][0]
         for i, a in enumerate(u):
             if not a:
                 continue
-            room = d - degrees[i]
-            if room < lowest:
-                break
             code = codes[i]
-            for deg, c, b in support_v:
-                if deg > room:
+            room = cut - code
+            if room <= lowest:
+                break
+            for c, b in support_v:
+                if c >= room:
                     break
                 out[index[code + c]] += a * b
         return out

@@ -13,13 +13,17 @@ truncated product of (1 + La)^(m_a) over the weights a of multiplicity m_a,
 in integer arithmetic.  The symbol map is built one homogeneous degree at a
 time, so `filtration_degree` and `leading_class` stop at the first nonzero
 component.
+
+Products run on integer monomial codes, `_code((k, e_1, ..., e_n), base)`
+for x^e of degree k: in base d + 1, codes of a product add without carry,
+code order is graded lex order, and degree <= d is code < (d + 1)^(n + 1).
 """
 
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 
-from .char_ring import VirtualCharacter, augmentation, binomial, gamma_series
+from .char_ring import VirtualCharacter, _code, _decode, augmentation, binomial, gamma_series
 from .errors import (
     AugmentationError,
     FiltrationCapError,
@@ -131,7 +135,7 @@ class SymbolicPolynomial:
     @classmethod
     def linear_form(cls, coords):
         """The form La = sum a_i x_i of a weight a."""
-        return cls(len(coords), _form(coords))
+        return _polynomial(_form(coords, 2), len(coords), 2)
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -166,22 +170,29 @@ class SymbolicPolynomial:
                 self.rank, {e: c * other for e, c in self.terms.items()}
             )
         self._check_rank(other)
-        return SymbolicPolynomial(self.rank, _multiply(self.terms, other.terms))
+        # in a base above the degree of the product, no code is cut
+        base = max(self.total_degree(), 0) + max(other.total_degree(), 0) + 1
+        product = _product(
+            _coded(self.terms, base), _coded(other.terms, base), base ** (self.rank + 1)
+        )
+        return _polynomial(product, self.rank, base)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = SymbolicPolynomial.one(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        base = k * max(self.total_degree(), 0) + 1
+        cut = base ** (self.rank + 1)
+        # integer numerators over the lcm of the denominators, by squaring
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        power = {e: int(c * scale) for e, c in _coded(self.terms, base).items()}
+        out = {0: 1}
+        for bit in bin(k)[2:]:
+            out = _product(out, out, cut)
+            if bit == "1":
+                out = _product(out, power, cut)
+        return _polynomial(out, self.rank, base, lambda _: scale**k)
 
     def __eq__(self, other):
         return (
@@ -233,19 +244,6 @@ class SymbolicPolynomial:
             terms[key] = terms.get(key, Fraction(0)) + sign * c
         return SymbolicPolynomial(self.rank, terms)
 
-    def evaluate(self, point):
-        """Evaluate at a tuple of Fractions/ints (exact)."""
-        if len(point) != self.rank:
-            raise RankMismatchError("evaluation point rank mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
-
     def _ordered_exps(self):
         # ascending degree, then descending lex (x1 before x2 within a degree)
         return sorted(self.terms, key=lambda e: (sum(e), tuple(-k for k in e)))
@@ -263,47 +261,85 @@ class SymbolicPolynomial:
         return f"SymbolicPolynomial({self.rank}, {self.terms!r})"
 
 
-def _form(coords):
-    """Integer terms of the linear form La = sum a_i x_i of a weight a."""
-    rank = len(coords)
-    terms = {}
-    for i, a in enumerate(coords):
-        if a:
-            exps = [0] * rank
-            exps[i] = 1
-            terms[tuple(exps)] = a
-    return terms
+def _form(coords, base):
+    """Coded integer terms of the linear form La = sum a_i x_i of a weight a."""
+    n = len(coords)
+    return {
+        _code((1, *(int(j == i) for j in range(n))), base): a
+        for i, a in enumerate(coords)
+        if a
+    }
 
 
-def _multiply(f, g):
-    """Product of two polynomials given as exponents -> coefficient."""
+def _coded(terms, base):
+    """Exponents -> coefficient terms keyed by their monomial codes."""
+    return {_code((sum(e), *e), base): c for e, c in terms.items()}
+
+
+def _polynomial(terms, rank, base, divisor=None):
+    """The SymbolicPolynomial of coded terms; with a divisor, each
+    coefficient of degree k is divided by divisor(k)."""
     out = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
+    for code, c in terms.items():
+        if c:
+            e = _decode(code, rank + 1, base)
+            out[e[1:]] = Fraction(c, divisor(e[0])) if divisor else c
+    return SymbolicPolynomial(rank, out)
+
+
+def _product(f, g, cut):
+    """Product of two coded polynomials, keeping the codes below cut.  The
+    codes of g are walked in increasing order, so each walk stops at the
+    first product past the cut."""
+    out = {}
+    g = sorted(g.items())
+    for a, x in f.items():
+        for b, y in g:
+            c = a + b
+            if c >= cut:
+                break
+            out[c] = out.get(c, 0) + x * y
     return out
 
 
-def _symbol_numerators(x):
-    """Yield, for k = 0, 1, 2, ..., the integer polynomial sum_a m_a La^k
-    (exponents -> nonzero coefficient); divided by k! it is the degree-k
-    component of the symbol of x."""
-    rank = x.rank
-    forms = [(x.terms[w], _form(w)) for w in sorted(x.terms)]
-    powers = [{(0,) * rank: 1}] * len(forms)
+def _binomial_power(form, m, d, cut):
+    """(1 + l)^m through degree d for a coded linear form l, with codes
+    below cut: the terms C(m, k) l^k for k <= d, which stop at k = m when
+    m >= 0 and are the truncated inverse power when m < 0."""
+    out, power = {0: 1}, {0: 1}
+    for k in range(1, (d if m < 0 else min(m, d)) + 1):
+        power = _product(power, form, cut)
+        c = binomial(m, k)
+        out.update((code, c * v) for code, v in power.items())
+    return out
+
+
+def _chern_product(x, d):
+    """The product over the nonzero weights a of (1 + La)^(m_a) through
+    degree d, on codes in base d + 1, with no size guard."""
+    cut = (d + 1) ** (x.rank + 1)
+    total = {0: 1}
+    for w in sorted(x.terms):
+        if any(w):
+            power = _binomial_power(_form(w, d + 1), x.terms[w], d, cut)
+            total = _product(total, power, cut)
+    return _polynomial(total, x.rank, d + 1)
+
+
+def _symbol_numerators(x, base):
+    """Yield, for k = 0, 1, 2, ..., the coded integer polynomial
+    sum_a m_a La^k, empty from k = base on; divided by k! it is the
+    degree-k component of the symbol of x."""
+    cut = base ** (x.rank + 1)
+    forms = [(x.terms[w], _form(w, base)) for w in sorted(x.terms)]
+    powers = [{0: 1}] * len(forms)
     while True:
         acc = {}
         for (m, _), power in zip(forms, powers):
             for e, c in power.items():
                 acc[e] = acc.get(e, 0) + m * c
         yield {e: c for e, c in acc.items() if c}
-        powers = [_multiply(power, form) for (_, form), power in zip(forms, powers)]
-
-
-def _component(numerators, k):
-    scale = factorial(k)
-    return {e: Fraction(c, scale) for e, c in numerators.items()}
+        powers = [_product(power, form, cut) for (_, form), power in zip(forms, powers)]
 
 
 def _lowest_component(x, cap):
@@ -311,9 +347,9 @@ def _lowest_component(x, cap):
     component of x, or None when every component through cap vanishes."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    for p, numerators in zip(range(cap + 1), _symbol_numerators(x)):
+    for p, numerators in zip(range(cap + 1), _symbol_numerators(x, cap + 1)):
         if numerators:
-            return p, _component(numerators, p)
+            return p, _polynomial(numerators, x.rank, cap + 1, factorial)
     return None
 
 
@@ -325,15 +361,9 @@ def symbol_map(x, d):
         raise ValueError("truncation degree must be >= 0")
     model_dimension(x.rank, d)
     terms = {}
-    for k, numerators in zip(range(d + 1), _symbol_numerators(x)):
-        terms.update(_component(numerators, k))
-    return SymbolicPolynomial(x.rank, terms)
-
-
-def chern_character(x, d):
-    """The Chern character: a ring homomorphism to rational polynomials,
-    identical to the truncated exponential symbol map."""
-    return symbol_map(x, d)
+    for numerators in islice(_symbol_numerators(x, d + 1), d + 1):
+        terms.update(numerators)
+    return _polynomial(terms, x.rank, d + 1, factorial)
 
 
 def default_cap(x):
@@ -367,7 +397,7 @@ def leading_class(x, cap=None):
     lowest = _lowest_component(x, cap)
     if lowest is None:
         raise FiltrationCapError(f"no nonzero component up to degree {cap}")
-    return SymbolicPolynomial(x.rank, lowest[1])
+    return lowest[1]
 
 
 def chern_class(x, p):
@@ -384,8 +414,8 @@ def chern_class(x, p):
         return SymbolicPolynomial.one(rank)
     reduced = x - VirtualCharacter.unit(rank) * augmentation(x)
     g = gamma_series(reduced, p).coefficient(p)
-    numerators = next(islice(_symbol_numerators(g), p, None))
-    return SymbolicPolynomial(rank, _component(numerators, p))
+    numerators = next(islice(_symbol_numerators(g, p + 1), p, None))
+    return _polynomial(numerators, rank, p + 1, factorial)
 
 
 def total_chern(x, d):
@@ -398,30 +428,6 @@ def total_chern(x, d):
     degree are counted against the model-size limit before any work."""
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    rank = x.rank
     mults = [m for w, m in x.terms.items() if any(w)]
-    model_dimension(rank, d if any(m < 0 for m in mults) else min(d, sum(mults)))
-    one = {(0,) * rank: 1}
-    parts = {0: one}  # homogeneous parts of the product, by degree
-    for w in sorted(x.terms):
-        if not any(w):
-            continue
-        m = x.terms[w]
-        form = _form(w)
-        factor = [one]  # factor[k] = C(m, k) La^k
-        power = one
-        for k in range(1, (d if m < 0 else min(m, d)) + 1):
-            power = _multiply(power, form)
-            c = binomial(m, k)
-            factor.append({e: c * v for e, v in power.items()})
-        product = {}
-        for i, part in parts.items():
-            for k, term in enumerate(factor[: d - i + 1]):
-                target = product.setdefault(i + k, {})
-                for e, c in _multiply(part, term).items():
-                    target[e] = target.get(e, 0) + c
-        parts = product
-    terms = {}
-    for part in parts.values():
-        terms.update(part)
-    return SymbolicPolynomial(rank, terms)
+    model_dimension(x.rank, d if any(m < 0 for m in mults) else min(d, sum(mults)))
+    return _chern_product(x, d)

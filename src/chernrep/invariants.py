@@ -11,11 +11,12 @@ polynomial ring on generators read off the standard representation:
 
 rewrite expresses an invariant polynomial in these generators by one
 leading-term elimination against the generator polynomials themselves, the
-same for every family; evaluate substitutes them back and is the round-trip
-oracle.
+same for every family, in integers on monomial codes; evaluate substitutes
+them back and is the round-trip oracle.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InvarianceError,
@@ -23,11 +24,12 @@ from .errors import (
     RankMismatchError,
     ReductionDefectError,
 )
-from .graded import SymbolicPolynomial, _multiply, _terms_json, _terms_text
+from .char_ring import _decode
+from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial, _product
+from .graded import _terms_json, _terms_text
+from .reps import standard
 from .weyl import (
-    GL,
     SO_EVEN,
-    SO_ODD,
     TORUS,
     invariant_degrees,
     weyl_elements,
@@ -53,49 +55,22 @@ def symmetrize(f, g):
     return acc * Fraction(1, len(elements))
 
 
-def elementary_symmetric_all(forms, top):
-    """e_0..e_top of a list of polynomials, by the one-pass recurrence."""
-    if not forms:
-        raise ValueError("need at least one form")
-    rank = forms[0].rank
-    es = [SymbolicPolynomial.one(rank)] + [
-        SymbolicPolynomial.zero(rank) for _ in range(top)
-    ]
-    for form in forms:
-        for j in range(min(top, len(es) - 1), 0, -1):
-            es[j] = es[j] + es[j - 1] * form
-    return es
-
-
-def _standard_weight_forms(g):
-    n = g.rank
-    forms = []
-    for i in range(1, n + 1):
-        v = SymbolicPolynomial.variable(n, i)
-        forms.append(v)
-        forms.append(-v)
-    if g.family == SO_ODD:
-        forms.append(SymbolicPolynomial.zero(n))
-    return forms
-
-
 def generator_definitions(g):
-    """The classical generator system as (name, polynomial, degree) triples."""
+    """The classical generator system as (name, polynomial, degree) triples:
+    the parts of the total Chern class of the standard representation, whose
+    model bound would count far more monomials than e_p has, so it is taken
+    unguarded, and the Pfaffian for even SO."""
     if g.family == TORUS:
         raise NoCanonicalGeneratorsError(
             "a torus has no canonical invariant generators"
         )
     n = g.rank
     degrees = invariant_degrees(g)
-    xs = [SymbolicPolynomial.variable(n, i) for i in range(1, n + 1)]
-    forms = xs if g.family == GL else _standard_weight_forms(g)
-    es = elementary_symmetric_all(forms, max(degrees))
-    polys = [es[deg] for deg in degrees]
+    top = max(degrees)
+    chern = _chern_product(standard(g), top)
+    polys = [chern.homogeneous_component(deg) for deg in degrees]
     if g.family == SO_EVEN:
-        pf = SymbolicPolynomial.one(n)
-        for x in xs:
-            pf = pf * x
-        polys[-1] = pf
+        polys[-1] = SymbolicPolynomial(n, {(1,) * n: 1})
     return list(zip((f"I{p}" for p in range(1, n + 1)), polys, degrees))
 
 
@@ -141,14 +116,6 @@ class GeneratorExpression:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
-        if self.group != other.group:
-            raise RankMismatchError("generator expressions for different groups")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return GeneratorExpression(self.group, terms)
-
     def _degree_of(self):
         """Weighted degree of a generator monomial."""
         degrees = invariant_degrees(self.group)
@@ -179,15 +146,22 @@ class GeneratorExpression:
         return f"GeneratorExpression({self.group!r}, {self.terms!r})"
 
 
-def _generator_products(g):
-    """The generators' integer terms, and the terms of I^k = prod_p I_p^(k_p)
-    as a function of k, each product built once as a smaller product times
-    one generator.  The memo lives as long as the returned function."""
-    gens = [
-        {e: int(c) for e, c in poly.terms.items()}
-        for _, poly, _ in generator_definitions(g)
-    ]
-    memo = {(0,) * len(gens): {(0,) * g.torus_rank: 1}}
+def _generator_products(g, base):
+    """The generators' integer terms on monomial codes in `base`, above
+    2 * rank and every degree asked for, each checked to lead with +-1, and
+    the terms of I^k = prod_p I_p^(k_p) as a function of k, each product
+    built once as a smaller product times one generator.  The memo lives as
+    long as the returned function."""
+    gens = []
+    for name, poly, _ in generator_definitions(g):
+        gen = {code: int(c) for code, c in _coded(poly.terms, base).items()}
+        if gen[max(gen)] not in (1, -1):
+            raise ReductionDefectError(
+                f"generator {name} has a leading coefficient other than +-1"
+            )
+        gens.append(gen)
+    cut = base ** (g.torus_rank + 1)
+    memo = {(0,) * len(gens): {0: 1}}
 
     def product(k):
         chain = []
@@ -196,7 +170,7 @@ def _generator_products(g):
             chain.append((k, p))
             k = k[:p] + (k[p] - 1,) + k[p + 1 :]
         for key, p in reversed(chain):
-            memo[key] = _multiply(memo[k], gens[p])
+            memo[key] = _product(memo[k], gens[p], cut)
             k = key
         return memo[k]
 
@@ -205,12 +179,15 @@ def _generator_products(g):
 
 def evaluate(expr):
     """Substitute the generator polynomials into an expression and expand."""
-    _, product = _generator_products(expr.group)
+    g = expr.group
+    top = max(map(expr._degree_of(), expr.terms), default=0)
+    base = max(top, 2 * g.torus_rank) + 1
+    _, product = _generator_products(g, base)
     terms = {}
     for k, c in expr.terms.items():
         for e, v in product(k).items():
             terms[e] = terms.get(e, 0) + c * v
-    return SymbolicPolynomial(expr.group.torus_rank, terms)
+    return _polynomial(terms, g.torus_rank, base)
 
 
 def rewrite(f, g):
@@ -222,27 +199,34 @@ def rewrite(f, g):
     term of a product is the product of the leading terms.  So the leading
     exponent lambda of the remainder is that of I^k with
     k_p = (lambda_p - lambda_(p+1)) / s_p, and subtracting c I^k removes it.
-    A torus has no generators and is refused.
+    f is scaled once to integer coefficients, and as the leading
+    coefficient of I^k is +-1, the remainder stays in integers; graded lex
+    order is the order of monomial codes.  A torus has no generators and is
+    refused.
     """
-    gens, product = _generator_products(g)
+    n = g.torus_rank
+    base = max(f.total_degree(), 2 * n) + 1
+    gens, product = _generator_products(g, base)
     if not is_invariant(f, g):
         raise InvarianceError("rewrite needs a Weyl-invariant polynomial")
-    steps = [max(gen, key=lambda e: (sum(e), e))[0] for gen in gens]
-    rest = dict(f.terms)
+    steps = [_decode(max(gen), n + 1, base)[1] for gen in gens]
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    rest = {code: int(c * scale) for code, c in _coded(f.terms, base).items()}
     out = {}
     while rest:
-        lead = max(rest, key=lambda e: (sum(e), e))
-        gaps = [a - b for a, b in zip(lead, lead[1:] + (0,))]
+        lead = max(rest)
+        exps = _decode(lead, n + 1, base)[1:]
+        gaps = [a - b for a, b in zip(exps, exps[1:] + (0,))]
         if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)):
             raise ReductionDefectError(
-                f"leading exponent {lead} is not that of a generator monomial; "
+                f"leading exponent {exps} is not that of a generator monomial; "
                 "input was not invariant"
             )
         k = tuple(gap // s for gap, s in zip(gaps, steps))
         term = product(k)
-        c = out[k] = rest[lead] / term[lead]
+        c = out[k] = rest[lead] * term[lead]
         for e, v in term.items():
             rest[e] = rest.get(e, 0) - c * v
             if not rest[e]:
                 del rest[e]
-    return GeneratorExpression(g, out)
+    return GeneratorExpression(g, {k: Fraction(c, scale) for k, c in out.items()})

@@ -5,6 +5,8 @@ import pytest
 from chernrep.char_ring import (
     CharSeries,
     VirtualCharacter,
+    _code,
+    _decode,
     adams,
     adams_via_series,
     augmentation,
@@ -294,3 +296,37 @@ def test_character_immutable():
     x = VirtualCharacter.unit(2)
     with pytest.raises(AttributeError):
         x.rank = 3
+
+
+def test_code_properties():
+    """_code/_decode: a round trip for entries in [low, low + base), codes
+    of a sum add while the entries stay in range, code order is lex order,
+    and monomial codes (degree first) order by graded lex and stay below
+    base^(n+1) exactly when the degree is below base."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def windows(n):
+        def cases(frame):
+            base, low = frame
+            vec = st.tuples(*[st.integers(low, low + base - 1)] * n)
+            return st.tuples(st.just(n), st.just(frame), vec, vec)
+
+        return st.tuples(st.integers(1, 12), st.integers(-6, 6)).flatmap(cases)
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(st.integers(1, 4).flatmap(windows))
+    def run_check(case):
+        n, (base, low), u, v = case
+        assert _decode(_code(u, base), n, base, low) == u
+        total = tuple(a + b for a, b in zip(u, v))
+        if all(low <= t < low + base for t in total):
+            assert _code(u, base) + _code(v, base) == _code(total, base)
+        assert (_code(u, base) < _code(v, base)) == (u < v)
+        if low == 0:
+            mu, mv = (sum(u), *u), (sum(v), *v)
+            if max(mu[0], mv[0]) < base:
+                assert (_code(mu, base) < _code(mv, base)) == (mu < mv)
+            assert (_code(mu, base) < base ** (n + 1)) == (mu[0] < base)
+
+    run_check()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -188,6 +189,20 @@ def test_help_text_matches_the_command_line(monkeypatch):
         )
         assert proc.returncode == 0 and proc.stderr == ""
         assert run_cli(argv) == (0, proc.stdout, "")
+
+
+def test_dense_generator_basis_ends_within_a_second():
+    """`chern SO7 'std*std' --basis generators` (degree 49, 1,304 terms) as a
+    fresh process keeps the one-second CLI contract and its stdout."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chernrep", "chern", "SO7", "std*std", "--basis", "generators"],
+        capture_output=True, env=_child_env(), timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.md5(proc.stdout).hexdigest() == "c16f05856293ad43ece14df763e0287d"
+    assert elapsed < 1.0
 
 
 def _child_env():

@@ -52,6 +52,20 @@ def test_model_size_guard():
         TruncatedAlgebra(GroupSpec(TORUS, 10), 10)
 
 
+def test_basis_order_is_code_order():
+    """Basis monomials run by degree, then lex, and their codes increase
+    strictly in that order, which `multiply` relies on to stop its walks."""
+    for family in (GL, SP, SO_ODD, SO_EVEN, TORUS):
+        for rank in (1, 2, 3):
+            for d in range(1, 5):
+                model = TruncatedAlgebra(GroupSpec(family, rank), d)
+                assert all(a < b for a, b in zip(model.codes, model.codes[1:]))
+                keys = [(sum(m), m) for m in model.monomials]
+                assert keys == sorted(keys)
+                assert [sum(m) for m in model.monomials] == model.degrees
+                assert all(model.index[c] == j for j, c in enumerate(model.codes))
+
+
 def test_reduction_of_basis_generator_power():
     model = TruncatedAlgebra(GroupSpec(TORUS, 1), 3)
     u = V(1, {(1,): 1, (0,): -1})

@@ -10,7 +10,6 @@ from chernrep.errors import InvarianceError, NoCanonicalGeneratorsError
 from chernrep.graded import SymbolicPolynomial, total_chern
 from chernrep.invariants import (
     GeneratorExpression,
-    elementary_symmetric_all,
     evaluate,
     generator_definitions,
     is_invariant,
@@ -70,6 +69,18 @@ def test_generator_definitions_so_even_rank2():
     assert [(n, d) for n, _, d in gens] == [("I1", 2), ("I2", 2)]
     assert gens[0][1] == P(2, {(2, 0): -1, (0, 2): -1})
     assert gens[1][1] == P(2, {(1, 1): 1})  # Pfaffian, sign convention +
+
+
+def elementary_symmetric_all(forms, top):
+    """e_0..e_top of a list of polynomials, by the one-pass recurrence."""
+    rank = forms[0].rank
+    es = [SymbolicPolynomial.one(rank)] + [
+        SymbolicPolynomial.zero(rank) for _ in range(top)
+    ]
+    for form in forms:
+        for j in range(top, 0, -1):
+            es[j] = es[j] + es[j - 1] * form
+    return es
 
 
 def test_generator_definitions_signed_identity():
@@ -255,6 +266,10 @@ PINNED_STDOUT_MD5 = [
     (["rewrite", "SO2", "x1^3 + 2*x1 - 1/3"], "fe2a69bf6dbac0a4e547d0a851bedc8d"),
     (["rewrite", "SO3", "x1^4 - 5*x1^2"], "8c06bdb77af08f0d71e754b499a0a47f"),
     (["rewrite", "GL1", "7*x1^5 - x1"], "1951d8f105b7b8ae447fd57404ed41e7"),
+    # dense inputs to rewrite: 8,008 Chern terms, and 1,891 terms of a power
+    (["chern", "GL6", "ext(3,std)", "--max-degree", "10", "--basis", "generators"],
+     "a095f1a0f8c6707b8d3094f1537be467"),
+    (["rewrite", "GL3", "(x1+x2+x3)^60"], "8372fa56f153601b45086607dc691e72"),
 ]
 
 
@@ -274,6 +289,22 @@ def test_rewrite_defect_guard(monkeypatch, group):
     monkeypatch.setattr(invariants, "is_invariant", lambda f, g: True)
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(["rewrite", group, "x1"], out, err) == 2
+    assert err.getvalue().startswith("error[defect]: ")
+    assert out.getvalue() == ""
+
+
+def test_rewrite_refuses_a_generator_not_leading_with_unit(monkeypatch):
+    # elimination divides by leading coefficients only through their sign,
+    # so a generator leading with 2 must end as a defect, not a wrong answer
+    defs = invariants.generator_definitions
+
+    def doubled(g):
+        (name, poly, deg), *rest = defs(g)
+        return [(name, poly * 2, deg), *rest]
+
+    monkeypatch.setattr(invariants, "generator_definitions", doubled)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["rewrite", "GL2", "x1^2 + x2^2"], out, err) == 2
     assert err.getvalue().startswith("error[defect]: ")
     assert out.getvalue() == ""
 
