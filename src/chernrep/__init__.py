@@ -49,9 +49,7 @@ from .weyl import (
     GroupSpec,
     SignedPermutation,
     orbit,
-    weyl_elements,
     weyl_generators,
-    weyl_order,
 )
 
 __all__ = [
@@ -96,7 +94,5 @@ __all__ = [
     "symmetrize",
     "total_chern",
     "verify_prop",
-    "weyl_elements",
     "weyl_generators",
-    "weyl_order",
 ]

@@ -50,6 +50,18 @@ def _decode(code, rank, base, low=0):
     return tuple(vec)
 
 
+def _signed_sum(parts):
+    """Join (coefficient, text of its term without the sign) pairs as a
+    signed sum, `-a + b - c`; "0" when there are none."""
+    out = []
+    for c, text in parts:
+        if out:
+            out.append(("+ " if c > 0 else "- ") + text)
+        else:
+            out.append(text if c > 0 else "-" + text)
+    return " ".join(out) or "0"
+
+
 class VirtualCharacter:
     """Finitely supported map weight -> nonzero integer multiplicity."""
 
@@ -149,19 +161,12 @@ class VirtualCharacter:
 
         Terms are listed in descending lexicographic weight order.
         """
-        if not self.terms:
-            return "0"
         parts = []
         for w in sorted(self.terms, reverse=True):
             m = self.terms[w]
             body = "[" + ",".join(str(c) for c in w) + "]"
-            mag = abs(m)
-            text = body if mag == 1 else f"{mag}{body}"
-            if not parts:
-                parts.append(text if m > 0 else "-" + text)
-            else:
-                parts.append(("+ " if m > 0 else "- ") + text)
-        return " ".join(parts)
+            parts.append((m, body if abs(m) == 1 else f"{abs(m)}{body}"))
+        return _signed_sum(parts)
 
     def to_json_obj(self):
         return [

@@ -254,27 +254,6 @@ class TruncatedAlgebra:
         return suffix
 
 
-def orbit_sum_generators(g, bound):
-    """Augmentation-zero orbit sums over weights with coordinates in
-    [-bound, bound]; exactly one per Weyl orbit."""
-    n = g.torus_rank
-    boxes = [()]
-    for _ in range(n):
-        boxes = [b + (k,) for b in boxes for k in range(-bound, bound + 1)]
-    zero = (0,) * n
-    seen = {zero}
-    gens = []
-    for a in boxes:
-        if a in seen:
-            continue
-        orb = orbit(g, a)
-        seen |= orb
-        terms = {b: 1 for b in orb}
-        terms[zero] = -len(orb)
-        gens.append(VirtualCharacter(n, terms))
-    return gens
-
-
 def _invariant_count(g, d):
     """Number of W-invariant polynomials of degree <= d: the monomials in
     free generators of the degrees `invariant_degrees` gives (Chevalley),

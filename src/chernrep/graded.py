@@ -24,6 +24,7 @@ from itertools import islice
 from math import factorial, lcm
 
 from .char_ring import VirtualCharacter, _code, _decode, augmentation, binomial, gamma_series
+from .char_ring import _signed_sum
 from .errors import (
     AugmentationError,
     FiltrationCapError,
@@ -45,8 +46,6 @@ def _coerce(c):
 def _terms_text(terms, order, var):
     """Signed sum of exponent -> Fraction terms, listed in the given order,
     with variables named var1, var2, ...; "0" when there are none."""
-    if not terms:
-        return "0"
     parts = []
     for e in order:
         c = terms[e]
@@ -59,14 +58,10 @@ def _terms_text(terms, order, var):
         mag = abs(c)
         if factors:
             body = "*".join(factors)
-            text = body if mag == 1 else f"{mag}*{body}"
+            parts.append((c, body if mag == 1 else f"{mag}*{body}"))
         else:
-            text = str(mag)
-        if not parts:
-            parts.append(text if c > 0 else "-" + text)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(parts)
+            parts.append((c, str(mag)))
+    return _signed_sum(parts)
 
 
 def _terms_json(terms, order):
@@ -222,27 +217,6 @@ class SymbolicPolynomial:
         return SymbolicPolynomial(
             self.rank, {e: c for e, c in self.terms.items() if sum(e) <= d}
         )
-
-    def apply_signed_permutation(self, w):
-        """Substitute x_j -> signs[perm[j]] * x_perm[j].
-
-        This is the action matching the Weyl action on weights: the image of
-        the linear form of a weight a is the linear form of w.a.
-        """
-        if len(w.perm) != self.rank:
-            raise RankMismatchError("permutation rank mismatch")
-        terms = {}
-        for e, c in self.terms.items():
-            new = [0] * self.rank
-            sign = 1
-            for j, k in enumerate(e):
-                i = w.perm[j]
-                new[i] = k
-                if w.signs[i] == -1 and k % 2 == 1:
-                    sign = -sign
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + sign * c
-        return SymbolicPolynomial(self.rank, terms)
 
     def _ordered_exps(self):
         # ascending degree, then descending lex (x1 before x2 within a degree)

@@ -31,28 +31,46 @@ from .reps import standard
 from .weyl import (
     SO_EVEN,
     TORUS,
+    _fixed_by_generators,
     invariant_degrees,
-    weyl_elements,
-    weyl_generators,
+    orbit,
 )
 
 
+def _monomial(v):
+    """(|v|, sign) for a signed exponent vector v: x^e goes under a Weyl
+    element w to sign * x^|v| with v = w.act(e), as x_j goes to +-x_i, and
+    sign = (-1)^(sum of the negative entries of v)."""
+    return tuple(map(abs, v)), -1 if sum(k for k in v if k < 0) % 2 else 1
+
+
 def is_invariant(f, g):
-    """True iff f is fixed by every Weyl generator of g."""
+    """True iff f is fixed by every Weyl generator of g, checked by one
+    coefficient lookup per generator and term."""
     if f.rank != g.torus_rank:
         raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.torus_rank}")
-    return all(f.apply_signed_permutation(w) == f for w in weyl_generators(g))
+    return _fixed_by_generators(f.terms, g, _monomial)
 
 
 def symmetrize(f, g):
-    """Average of f over the Weyl group; projects onto the invariants."""
+    """Average of f over the Weyl group; projects onto the invariants.
+
+    Each term c x^e averages over the orbit O of its exponent vector:
+    c / |O| * sum of the monomials of O, signed by `_monomial`, so terms
+    that W negates cancel.  A torus's W is trivial and f is returned; the
+    orbit guard is the only refusal."""
     if f.rank != g.torus_rank:
         raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.torus_rank}")
-    elements = weyl_elements(g)
-    acc = SymbolicPolynomial.zero(f.rank)
-    for w in elements:
-        acc = acc + f.apply_signed_permutation(w)
-    return acc * Fraction(1, len(elements))
+    if g.family == TORUS:
+        return f
+    terms = {}
+    for e, c in f.terms.items():
+        vectors = orbit(g, e)
+        share = c / len(vectors)
+        for v in vectors:
+            key, sign = _monomial(v)
+            terms[key] = terms.get(key, 0) + sign * share
+    return SymbolicPolynomial(f.rank, terms)
 
 
 def generator_definitions(g):

@@ -1,14 +1,16 @@
 """Classical group descriptors and Weyl groups as signed permutations.
 
 Weights live in the character lattice Z^n of a maximal torus and are plain
-integer tuples.  Weyl groups of the four classical families (and the trivial
-group of a torus) are realized concretely: permutations for GL(n), all signed
-permutations for Sp(2l) and SO(2l+1), and evenly-signed permutations for
-SO(2l), acting in the standard coordinates of the lattice.
+integer tuples.  Weyl groups of the four classical families are realized
+concretely: permutations for GL(n), all signed permutations for Sp(2l) and
+SO(2l+1), and evenly-signed permutations for SO(2l), acting in the standard
+coordinates of the lattice.  W acts only through its generators, on integer
+tuples: orbits are closed under them and invariance is checked on them; no
+element of W beyond a generator is ever built.
 """
 
-from itertools import groupby, permutations, product
-from math import factorial, prod
+from itertools import groupby
+from math import factorial
 
 from .errors import EnumerationLimitError, RankMismatchError
 
@@ -20,8 +22,7 @@ TORUS = "Torus"
 
 FAMILIES = (GL, SP, SO_ODD, SO_EVEN, TORUS)
 
-# Full enumeration of W is refused beyond this order, and the closure of an
-# orbit beyond this many coordinate moves.
+# The closure of an orbit is refused beyond this many coordinate moves.
 ENUMERATION_LIMIT = 10**6
 
 
@@ -127,38 +128,9 @@ class SignedPermutation(_Record):
                 f"weight length {len(coords)} != rank {len(self.perm)}"
             )
         out = [0] * len(coords)
-        for j, a in enumerate(coords):
-            i = self.perm[j]
+        for i, a in zip(self.perm, coords):
             out[i] = self.signs[i] * a
         return tuple(out)
-
-    def compose(self, other):
-        """self after other, so (self.compose(other)).act == self.act(other.act(.))."""
-        n = len(self.perm)
-        perm = tuple(self.perm[other.perm[j]] for j in range(n))
-        # sign at slot i comes from self at i and from other at self^-1(i)
-        inv = self.inverse()
-        signs = tuple(self.signs[i] * other.signs[inv.perm[i]] for i in range(n))
-        return SignedPermutation(perm, signs)
-
-    def inverse(self):
-        n = len(self.perm)
-        inv = [0] * n
-        for j in range(n):
-            inv[self.perm[j]] = j
-        signs = tuple(self.signs[self.perm[j]] for j in range(n))
-        return SignedPermutation(tuple(inv), signs)
-
-
-def weyl_order(g):
-    n = g.rank
-    if g.family in (TORUS,):
-        return 1
-    if g.family == GL:
-        return factorial(n)
-    if g.family in (SP, SO_ODD):
-        return 2**n * factorial(n)
-    return 2 ** (n - 1) * factorial(n)
 
 
 def invariant_degrees(g):
@@ -172,34 +144,6 @@ def invariant_degrees(g):
     if g.family in (SP, SO_ODD):
         return tuple(range(2, 2 * n + 1, 2))
     return (*range(2, 2 * n - 1, 2), n)
-
-
-def weyl_elements(g):
-    """All elements of W(g), each exactly once.
-
-    Refuses with EnumerationLimitError when |W| exceeds the guard.
-    """
-    order = weyl_order(g)
-    if order > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"|W| = {order} exceeds enumeration limit {ENUMERATION_LIMIT}"
-        )
-    n = g.rank
-    if g.family == TORUS:
-        return [SignedPermutation.identity(n)]
-    perms = [tuple(p) for p in permutations(range(n))]
-    if g.family == GL:
-        plus = (1,) * n
-        return [SignedPermutation(p, plus) for p in perms]
-    if g.family in (SP, SO_ODD):
-        return [
-            SignedPermutation(p, s)
-            for p in perms
-            for s in product((1, -1), repeat=n)
-        ]
-    # SOeven: only sign vectors with product +1
-    signs = [s for s in product((1, -1), repeat=n) if prod(s) == 1]
-    return [SignedPermutation(p, s) for p in perms for s in signs]
 
 
 def weyl_generators(g):
@@ -225,6 +169,19 @@ def weyl_generators(g):
     if not gens:  # rank-1 torus-like cases still need a group
         gens.append(SignedPermutation.identity(n))
     return gens
+
+
+def _fixed_by_generators(terms, g, key):
+    """True iff every Weyl generator w of g fixes the finitely supported
+    map terms: for each term (v, c), key(w.act(v)) is a pair (k, s) with
+    terms[k] == s * c, s = +-1.  As key is injective, this is terms equal
+    to its image under w, looked up term by term."""
+    for w in weyl_generators(g):
+        for v, c in terms.items():
+            k, s = key(w.act(v))
+            if terms.get(k) != (c if s > 0 else -c):
+                return False
+    return True
 
 
 def dominant_weights(g, bound):

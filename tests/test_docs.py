@@ -1,0 +1,71 @@
+"""README.md and the package's public names kept in step with the code."""
+
+import ast
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+import chernrep
+from chernrep.cli import run
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _blocks(heading, lang):
+    """The fenced `lang` code blocks of the README section under heading."""
+    section = README.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)
+
+
+def _cli_examples():
+    """(argv, expected stdout) for each `$ chernrep ...` example whose
+    output has no `...`."""
+    out = []
+    for block in _blocks("## CLI", "sh"):
+        for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *lines = example.splitlines()
+            if command.startswith("chernrep ") and "..." not in lines:
+                out.append((shlex.split(command)[1:], "".join(f"{x}\n" for x in lines)))
+    return out
+
+
+def test_library_example_prints_what_its_comments_say():
+    (block,) = _blocks("## Library", "python")
+    expected = [
+        line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    assert expected and printed.getvalue().splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "argv,stdout", _cli_examples(), ids=[" ".join(a) for a, _ in _cli_examples()]
+)
+def test_cli_example_prints_its_readme_output(argv, stdout):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 0, err.getvalue()
+    assert out.getvalue() == stdout
+
+
+def test_cli_examples_are_found():
+    assert len(_cli_examples()) >= 5
+
+
+def test_all_names_the_public_imports_of_init():
+    tree = ast.parse(Path(chernrep.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert sorted(chernrep.__all__) == sorted(set(chernrep.__all__)) == sorted(imported)
+    for name in chernrep.__all__:
+        assert getattr(chernrep, name) is not None

@@ -20,7 +20,6 @@ from chernrep.filtration_check import (
     _PropContext,
     gamma_subspace_ambient_cap_invariant,
     gamma_subspace_invariant,
-    orbit_sum_generators,
     verify_prop,
 )
 from chernrep.weyl import (
@@ -39,6 +38,25 @@ rng = random.Random(31337)
 
 def V(rank, terms):
     return VirtualCharacter(rank, terms)
+
+
+def orbit_sum_generators(g, bound):
+    """Augmentation-zero orbit sums over weights with coordinates in
+    [-bound, bound]; exactly one per Weyl orbit.  The full-box oracle for
+    the orbit sums that the scan of `_PropContext` keeps."""
+    n = g.torus_rank
+    zero = (0,) * n
+    seen = {zero}
+    gens = []
+    for a in itertools.product(range(-bound, bound + 1), repeat=n):
+        if a in seen:
+            continue
+        orb = orbit(g, a)
+        seen |= orb
+        terms = {b: 1 for b in orb}
+        terms[zero] = -len(orb)
+        gens.append(VirtualCharacter(n, terms))
+    return gens
 
 
 def test_model_dimensions():

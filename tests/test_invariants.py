@@ -18,6 +18,7 @@ from chernrep.invariants import (
 )
 from chernrep.reps import standard
 from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, invariant_degrees
+from weyl_oracle import oracle_average
 
 rng = random.Random(77)
 
@@ -236,6 +237,51 @@ def test_symmetrize_examples():
     )
     sp4 = GroupSpec(SP, 2)
     assert not symmetrize(x1, sp4)
+
+
+def test_symmetrize_gl11_is_the_mean_of_the_variables():
+    # |W| = 11! is never enumerated: x1 averages over its orbit of 11
+    mean = symmetrize(SymbolicPolynomial.variable(11, 1), GroupSpec(GL, 11))
+    assert mean == sum(
+        (SymbolicPolynomial.variable(11, i) for i in range(1, 12)), P(11, {})
+    ) * Fraction(1, 11)
+
+
+def test_symmetrize_on_a_torus_is_the_identity():
+    f = P(2, {(1, 0): 3, (0, 2): Fraction(-1, 2)})
+    assert symmetrize(f, GroupSpec(TORUS, 2)) == f
+
+
+def test_symmetrize_and_is_invariant_match_the_full_group_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polynomials(g):
+        exps = st.tuples(*[st.integers(0, 3)] * g.rank)
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        return st.dictionaries(exps, coeffs, max_size=3).map(lambda t: P(g.rank, t))
+
+    groups = st.builds(GroupSpec, st.sampled_from(ALL_FAMILIES), st.integers(1, 4))
+    # an invariant may be perturbed: one orbit member dropped, or doubled
+    edits = st.sampled_from(["none", "average", "drop", "double"])
+
+    @hypothesis.settings(deadline=None, max_examples=120)
+    @hypothesis.given(groups.flatmap(lambda g: st.tuples(st.just(g), polynomials(g))),
+                      edits, st.integers(0, 10**6))
+    def run_check(case, edit, pick):
+        g, f = case
+        if edit != "none":
+            f = oracle_average(f, g)
+        if edit in ("drop", "double") and f:
+            terms = dict(f.terms)
+            e = sorted(terms)[pick % len(terms)]
+            terms[e] = 0 if edit == "drop" else 2 * terms[e]
+            f = P(g.rank, terms)
+        average = oracle_average(f, g)
+        assert symmetrize(f, g) == average
+        assert is_invariant(f, g) == (average == f)
+
+    run_check()
 
 
 def test_symmetrize_projector():

@@ -1,0 +1,87 @@
+"""The whole Weyl group, element by element: the test oracle for the
+generator action of `chernrep.weyl`, `is_invariant` and `symmetrize`.
+
+The library never builds an element of W beyond a generator.  Here every
+element is listed, composed and inverted, and a polynomial is averaged over
+all of them by direct substitution, so each check against this module takes
+an independent route.
+"""
+
+from fractions import Fraction
+from itertools import permutations, product
+from math import factorial, prod
+
+from chernrep.graded import SymbolicPolynomial
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, SignedPermutation
+
+
+def weyl_order(g):
+    n = g.rank
+    if g.family == TORUS:
+        return 1
+    if g.family == GL:
+        return factorial(n)
+    if g.family in (SP, SO_ODD):
+        return 2**n * factorial(n)
+    return 2 ** (n - 1) * factorial(n)
+
+
+def weyl_elements(g):
+    """All elements of W(g), each exactly once; a torus gets the trivial
+    group."""
+    n = g.rank
+    if g.family == TORUS:
+        return [SignedPermutation.identity(n)]
+    perms = [tuple(p) for p in permutations(range(n))]
+    if g.family == GL:
+        return [SignedPermutation(p, (1,) * n) for p in perms]
+    signs = list(product((1, -1), repeat=n))
+    if g.family == SO_EVEN:
+        signs = [s for s in signs if prod(s) == 1]
+    return [SignedPermutation(p, s) for p in perms for s in signs]
+
+
+def compose(w, v):
+    """w after v, so compose(w, v).act(a) == w.act(v.act(a))."""
+    n = len(w.perm)
+    perm = tuple(w.perm[v.perm[j]] for j in range(n))
+    # the sign at slot i comes from w at i and from v at w^-1(i)
+    inv = inverse(w)
+    signs = tuple(w.signs[i] * v.signs[inv.perm[i]] for i in range(n))
+    return SignedPermutation(perm, signs)
+
+
+def inverse(w):
+    n = len(w.perm)
+    inv = [0] * n
+    for j in range(n):
+        inv[w.perm[j]] = j
+    signs = tuple(w.signs[w.perm[j]] for j in range(n))
+    return SignedPermutation(tuple(inv), signs)
+
+
+def substitute(f, w):
+    """f with x_j replaced by signs[perm[j]] * x_perm[j], the action that
+    sends the linear form of a weight a to that of w.a."""
+    terms = {}
+    for e, c in f.terms.items():
+        new = [0] * f.rank
+        sign = 1
+        for j, k in enumerate(e):
+            i = w.perm[j]
+            new[i] = k
+            if w.signs[i] == -1 and k % 2 == 1:
+                sign = -sign
+        key = tuple(new)
+        terms[key] = terms.get(key, Fraction(0)) + sign * c
+    return SymbolicPolynomial(f.rank, terms)
+
+
+def oracle_average(f, g):
+    """The mean of f over every element of W(g)."""
+    elements = weyl_elements(g)
+    terms = {}
+    for w in elements:
+        for e, c in substitute(f, w).terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+    return SymbolicPolynomial(f.rank, {e: c / len(elements) for e, c in terms.items()})
