@@ -38,14 +38,12 @@ def _code(vec, base):
     return code
 
 
-def _decode(code, rank, base, low=0):
-    """The vector of `rank` entries in [low, low + base) with the given
-    `_code`."""
+def _decode(code, rank, base):
+    """The vector of `rank` entries in [0, base) with the given `_code`."""
     vec = []
     for _ in range(rank):
-        digit = (code - low) % base + low
-        vec.append(digit)
-        code = (code - digit) // base
+        vec.append(code % base)
+        code //= base
     vec.reverse()
     return tuple(vec)
 
@@ -82,6 +80,14 @@ class VirtualCharacter:
 
     def __setattr__(self, name, value):
         raise AttributeError("VirtualCharacter is immutable")
+
+    @classmethod
+    def _trusted(cls, rank, terms):
+        """These terms as they are: int-tuple weights, nonzero int values."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "rank", rank)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     @classmethod
     def zero(cls, rank):
@@ -164,9 +170,9 @@ class VirtualCharacter:
         parts = []
         for w in sorted(self.terms, reverse=True):
             m = self.terms[w]
-            body = "[" + ",".join(str(c) for c in w) + "]"
+            body = str(list(w))
             parts.append((m, body if abs(m) == 1 else f"{abs(m)}{body}"))
-        return _signed_sum(parts)
+        return _signed_sum(parts).replace(", ", ",")
 
     def to_json_obj(self):
         return [
@@ -226,34 +232,6 @@ class CharSeries:
             raise IndexError(f"degree {p} outside truncation 0..{self.degree}")
         return self.coeffs[p]
 
-    def __mul__(self, other):
-        if self.rank != other.rank:
-            raise RankMismatchError("series rank mismatch")
-        d = min(self.degree, other.degree)
-        out = [VirtualCharacter.zero(self.rank) for _ in range(d + 1)]
-        for i, a in enumerate(self.coeffs[: d + 1]):
-            if not a:
-                continue
-            for j in range(d + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return CharSeries(self.rank, out)
-
-    def inverse(self):
-        """Truncated multiplicative inverse; constant coefficient must be [0]."""
-        unit = VirtualCharacter.unit(self.rank)
-        if self.coeffs[0] != unit:
-            raise ValueError("series inverse needs constant coefficient [0]")
-        inv = [unit]
-        for n in range(1, self.degree + 1):
-            acc = VirtualCharacter.zero(self.rank)
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * inv[n - i]
-            inv.append(-acc)
-        return CharSeries(self.rank, inv)
-
     def __eq__(self, other):
         return (
             isinstance(other, CharSeries)
@@ -285,7 +263,13 @@ def lambda_series(x, d):
     """
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    rank = x.rank
+    coeffs, base, bound = _lambda_codes(x, d)
+    return CharSeries(x.rank, [_from_codes(x.rank, ek, base, bound) for ek in coeffs])
+
+
+def _lambda_codes(x, d):
+    """The coded coefficients e_0..e_d of `lambda_series`, with the base B
+    and the coordinate bound of their codes."""
     bound = d * max((abs(c) for w in x.terms for c in w), default=0)
     base = 2 * bound + 1
     coeffs = [{0: 1}] + [{} for _ in range(d)]
@@ -300,14 +284,25 @@ def lambda_series(x, d):
                 for key, v in coeffs[k - j].items():
                     key += shift
                     ek[key] = ek.get(key, 0) + c * v
-    return CharSeries(
-        rank,
-        [
-            VirtualCharacter(
-                rank, {_decode(key, rank, base, -bound): v for key, v in ek.items()}
-            )
-            for ek in coeffs
-        ],
+    return coeffs, base, bound
+
+
+def _from_codes(rank, coded, base, bound, sign=1):
+    """sum sign * v [a] over the terms code(a) -> v of coded, in descending
+    code order, which is the descending lexicographic order `to_text` sorts
+    by.  Decoded in bulk: one pass per coordinate over the codes shifted by
+    the code of (bound, ..., bound), whose digits then lie in [0, base).
+    Zero multiplicities are dropped; nothing else is checked again."""
+    codes = sorted((key for key, v in coded.items() if v), reverse=True)
+    shift = _code((bound,) * rank, base)
+    rest = [key + shift for key in codes]
+    columns = []
+    for _ in range(rank):
+        columns.append([r % base - bound for r in rest])
+        rest = [r // base for r in rest]
+    weights = zip(*reversed(columns)) if rank else [()] * len(codes)
+    return VirtualCharacter._trusted(
+        rank, dict(zip(weights, [sign * coded[key] for key in codes]))
     )
 
 

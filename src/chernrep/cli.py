@@ -7,7 +7,6 @@ are written to stderr as ``error[<code>]: message``.
 """
 
 import argparse
-import functools
 import sys
 
 from .char_ring import adams as adams_op
@@ -35,25 +34,27 @@ class UsageError(ChernRepError):
     code = "usage"
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises UsageError, and writes help to the streams of its run."""
+class _Help(Exception):
+    """Help text that `run` writes to its own `out`."""
 
-    def __init__(self, *args, streams, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.streams = streams
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and _Help where argparse would print help and
+    exit, so that one parser serves every run of the process."""
 
     def _print_message(self, message, file=None):
-        out, err = self.streams
-        (out if file is None or file is sys.stdout else err).write(message)
+        raise _Help(message)
 
     def error(self, message):
         raise UsageError(message)
 
 
-def _build_parser(out, err):
-    make = functools.partial(_Parser, streams=(out, err))
-    parser = make(prog="chernrep", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
+_parser = None  # built by the first `run`, not at import
+
+
+def _build_parser():
+    parser = _Parser(prog="chernrep", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     chern = sub.add_parser("chern", help="total Chern class of a representation")
     chern.add_argument("group")
@@ -167,30 +168,21 @@ def _cmd_ch(args, out, err):
 def _cmd_adams(args, out, err):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
-    g = parse_group(args.group)
-    x = _character_for(args, g)
-    result = adams_op(args.k, x)
-    if args.json:
-        _emit_json(
-            {"group": str(g), "rep": args.rep, "k": args.k, "result": result.to_json_obj()},
-            out,
-        )
-    else:
-        print(result.to_text(), file=out)
-    return 0
+    return _print_operation(args, "k", args.k, adams_op, out)
 
 
 def _cmd_lambda(args, out, err):
     if args.p < 0:
         raise UsageError("-p must be >= 0")
+    return _print_operation(args, "p", args.p, lambda p, x: exterior(x, p), out)
+
+
+def _print_operation(args, key, n, op, out):
+    """Print op(n, x) for the character x of args.rep, as text or JSON."""
     g = parse_group(args.group)
-    x = _character_for(args, g)
-    result = exterior(x, args.p)
+    result = op(n, _character_for(args, g))
     if args.json:
-        _emit_json(
-            {"group": str(g), "rep": args.rep, "p": args.p, "result": result.to_json_obj()},
-            out,
-        )
+        _emit_json({"group": str(g), "rep": args.rep, key: n, "result": result.to_json_obj()}, out)
     else:
         print(result.to_text(), file=out)
     return 0
@@ -256,14 +248,16 @@ _COMMANDS = {
 
 
 def run(argv, out=None, err=None):
+    global _parser
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser(out, err)
+    _parser = _parser or _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args, out, err)
-    except SystemExit as e:  # argparse --help
-        return 0 if not e.code else 1
+    except _Help as e:
+        out.write(str(e))
+        return 0
     except (UsageError, ParseError) as e:
         print(f"error[{e.code}]: {e}", file=err)
         return 1

@@ -1,6 +1,6 @@
 """Characters of concrete representations and constructions on them."""
 
-from .char_ring import VirtualCharacter, augmentation, lambda_series
+from .char_ring import VirtualCharacter, _from_codes, _lambda_codes, augmentation
 from .errors import RankMismatchError, model_dimension
 from .weyl import GL, SO_ODD, TORUS, _fixed_by_generators
 
@@ -24,7 +24,8 @@ def standard(g):
 
 
 def exterior(x, p):
-    """Exterior power: coefficient p of the lambda series.
+    """Exterior power: coefficient p of the lambda series, the only one
+    decoded from its integer codes.
 
     An effective x (no negative multiplicity) has lambda^p(x) = 0 above its
     dimension, returned at once.  Otherwise the series builds every weight
@@ -34,20 +35,27 @@ def exterior(x, p):
     """
     if p < 0:
         raise ValueError("exterior power needs p >= 0")
+    return _signed_exterior(x, p, 1)
+
+
+def _signed_exterior(x, p, sign):
+    """sign * lambda^p(x), refused or cut short as `exterior` says."""
     if all(m > 0 for m in x.terms.values()):
         if p > augmentation(x):
             return VirtualCharacter.zero(x.rank)
     else:
         model_dimension(len(x.terms), p)
-    return lambda_series(x, p).coefficient(p)
+    coeffs, base, bound = _lambda_codes(x, p)
+    return _from_codes(x.rank, coeffs[p], base, bound, sign)
 
 
 def symmetric(x, p):
     """Symmetric power, sigma^p(x) = (-1)^p lambda^p(-x), read off
-    sigma_t(x) = lambda_(-t)(x)^(-1) = lambda_(-t)(-x)."""
+    sigma_t(x) = lambda_(-t)(x)^(-1) = lambda_(-t)(-x); the sign is applied
+    as lambda^p(-x) is decoded."""
     if p < 0:
         raise ValueError("symmetric power needs p >= 0")
-    return exterior(-x, p) * (-1) ** p
+    return _signed_exterior(-x, p, (-1) ** p)
 
 
 def dual(x):

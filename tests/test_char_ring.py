@@ -7,6 +7,7 @@ from chernrep.char_ring import (
     VirtualCharacter,
     _code,
     _decode,
+    _from_codes,
     adams,
     adams_via_series,
     augmentation,
@@ -16,6 +17,12 @@ from chernrep.char_ring import (
 )
 from chernrep.errors import RankMismatchError
 from chernrep.reps import symmetric
+from series_oracle import (
+    lambda_series_by_products,
+    series_inverse,
+    series_product,
+    symmetric_by_inverse,
+)
 
 rng = random.Random(4096)
 
@@ -30,26 +37,6 @@ def rand_char(rank, max_weights=5, coord=2, mult=2):
         w = tuple(rng.randint(-coord, coord) for _ in range(rank))
         terms[w] = terms.get(w, 0) + rng.randint(-mult, mult)
     return V(rank, terms)
-
-
-def _lambda_series_by_products(x, d):
-    """The product of the series (1 + [a]t)^(m_a) as whole CharSeries, one
-    per weight: the reference for the coded one-pass lambda_series."""
-    out = CharSeries.one(x.rank, d)
-    for w in sorted(x.terms):
-        factor = []
-        for k in range(d + 1):
-            c = binomial(x.terms[w], k)
-            factor.append(V(x.rank, {tuple(k * a for a in w): c} if c else {}))
-        out = out * CharSeries(x.rank, factor)
-    return out
-
-
-def _symmetric_by_inverse(x, p):
-    """Coefficient p of the truncated inverse of lambda_{-t}(x)."""
-    lam = lambda_series(x, p)
-    alt = CharSeries(x.rank, [c * (-1) ** k for k, c in enumerate(lam.coeffs)])
-    return alt.inverse().coefficient(p)
 
 
 def _for_random_characters(check):
@@ -74,21 +61,21 @@ def _for_random_characters(check):
 
 def test_lambda_series_matches_product_of_series():
     def check(x, y, d):
-        assert lambda_series(x, d) == _lambda_series_by_products(x, d)
+        assert lambda_series(x, d) == lambda_series_by_products(x, d)
 
     _for_random_characters(check)
 
 
 def test_symmetric_matches_inverse_series():
     def check(x, y, d):
-        assert symmetric(x, d) == _symmetric_by_inverse(x, d)
+        assert symmetric(x, d) == symmetric_by_inverse(x, d)
 
     _for_random_characters(check)
 
 
 def test_lambda_series_is_additive():
     def check(x, y, d):
-        assert lambda_series(x + y, d) == lambda_series(x, d) * lambda_series(y, d)
+        assert lambda_series(x + y, d) == series_product(lambda_series(x, d), lambda_series(y, d))
 
     _for_random_characters(check)
 
@@ -204,7 +191,7 @@ def test_lambda_additivity_random():
         r = rng.randint(1, 3)
         x, y = rand_char(r), rand_char(r)
         d = rng.randint(0, 6)
-        assert lambda_series(x + y, d) == lambda_series(x, d) * lambda_series(y, d)
+        assert lambda_series(x + y, d) == series_product(lambda_series(x, d), lambda_series(y, d))
 
 
 def test_adams_via_series_examples():
@@ -280,7 +267,7 @@ def test_gamma_one_is_identity_on_augmentation_zero():
 def test_series_inverse_requires_unit():
     zero = VirtualCharacter.zero(1)
     with pytest.raises(ValueError):
-        CharSeries(1, [zero, VirtualCharacter.unit(1)]).inverse()
+        series_inverse(CharSeries(1, [zero, VirtualCharacter.unit(1)]))
 
 
 def test_series_inverse_roundtrip():
@@ -289,7 +276,7 @@ def test_series_inverse_roundtrip():
         x = rand_char(r)
         d = rng.randint(1, 5)
         lam = lambda_series(x, d)
-        assert lam * lam.inverse() == CharSeries.one(r, d)
+        assert series_product(lam, series_inverse(lam)) == CharSeries.one(r, d)
 
 
 def test_character_immutable():
@@ -299,7 +286,8 @@ def test_character_immutable():
 
 
 def test_code_properties():
-    """_code/_decode: a round trip for entries in [low, low + base), codes
+    """_code/_decode: a round trip for entries in [0, base), and through
+    _from_codes for entries in [-bound, bound] in base 2*bound + 1; codes
     of a sum add while the entries stay in range, code order is lex order,
     and monomial codes (degree first) order by graded lex and stay below
     base^(n+1) exactly when the degree is below base."""
@@ -318,7 +306,11 @@ def test_code_properties():
     @hypothesis.given(st.integers(1, 4).flatmap(windows))
     def run_check(case):
         n, (base, low), u, v = case
-        assert _decode(_code(u, base), n, base, low) == u
+        shifted = tuple(c - low for c in u)
+        assert _decode(_code(shifted, base), n, base) == shifted
+        bound = max(map(abs, u))
+        coded = {_code(u, 2 * bound + 1): 1}
+        assert _from_codes(n, coded, 2 * bound + 1, bound).terms == {u: 1}
         total = tuple(a + b for a, b in zip(u, v))
         if all(low <= t < low + base for t in total):
             assert _code(u, base) + _code(v, base) == _code(total, base)

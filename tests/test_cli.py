@@ -191,6 +191,43 @@ def test_help_text_matches_the_command_line(monkeypatch):
         assert run_cli(argv) == (0, proc.stdout, "")
 
 
+def test_one_parser_serves_every_run_of_a_process(monkeypatch):
+    """Help, a usage error, a parse error and a valid call, run in one
+    process each with its own streams, give the exit code, stdout and
+    stderr of a fresh `python -m chernrep`; the parser is built by the
+    first run, not at import, and kept."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = (
+        ["--help"],
+        ["chern", "--help"],
+        ["lambda", "GL2", "std"],
+        ["chern", "GL2", "ext(2,"],
+        ["lambda", "-p", "2", "GL3", "std"],
+        ["--help"],
+    )
+    first = None
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chernrep", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert run_cli(argv) == (proc.returncode, proc.stdout, proc.stderr)
+        first = first or cli._parser
+        assert first is not None and cli._parser is first
+    assert [run_cli(argv)[0] for argv in calls] == [0, 0, 1, 1, 0, 0]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import chernrep.cli as cli; print(cli._parser)"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.stdout == "None\n"
+
+
+def test_help_goes_to_sys_stdout_by_default(capsys):
+    assert cli.run(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: chernrep [-h]") and captured.err == ""
+
+
 def test_dense_generator_basis_ends_within_a_second():
     """`chern SO7 'std*std' --basis generators` (degree 49, 1,304 terms) as a
     fresh process keeps the one-second CLI contract and its stdout."""

@@ -327,3 +327,24 @@ def test_polynomial_text_form():
     assert poly.to_text() == "1 + x1 + 1/2*x1^2"
     assert P(2, {}).to_text() == "0"
     assert P(2, {(1, 0): -1, (0, 1): 1}).to_text() == "-x1 + x2"
+
+
+def test_total_chern_matches_sympy_determinant():
+    """total_chern(x, d) of an effective character is det(1 + diag(L_a)),
+    one diagonal entry per weight a counted with multiplicity, expanded by
+    sympy and truncated at total degree d."""
+    sympy = pytest.importorskip("sympy")
+    for _ in range(25):
+        r = rng.randint(1, 3)
+        x = rand_effective(r, coord=3)
+        d = rng.randint(0, augmentation(x) + 1)
+        xs = sympy.symbols(f"x1:{r + 1}")
+        diagonal = [
+            1 + sum(a * v for a, v in zip(w, xs))
+            for w, m in sorted(x.terms.items())
+            for _ in range(m)
+        ]
+        det = sympy.Poly(sympy.expand(sympy.diag(*diagonal).det()), *xs)
+        expected = {e: c for e, c in det.terms() if sum(e) <= d}
+        got = total_chern(x, d).terms
+        assert got == {e: Fraction(int(c)) for e, c in expected.items()}

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from chernrep.char_ring import VirtualCharacter, augmentation
+from chernrep.char_ring import VirtualCharacter, augmentation, lambda_series
 from chernrep.reps import assert_g_rep, dual, exterior, standard, symmetric
 from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
+from series_oracle import lambda_series_by_products, symmetric_by_inverse
 
 rng = random.Random(99)
 
@@ -126,3 +127,69 @@ def test_operations_preserve_invariance():
             assert assert_g_rep(symmetric(x, p), g)
         assert assert_g_rep(x * x, g)
         assert assert_g_rep(dual(x), g)
+
+
+def _assert_decoded(x, rank):
+    """x as the coded decode must leave it: int-tuple weights of length
+    rank, each with a nonzero int multiplicity."""
+    assert x.rank == rank
+    for w, m in x.terms.items():
+        assert type(w) is tuple and len(w) == rank
+        assert all(type(c) is int for c in w)
+        assert type(m) is int and m != 0
+
+
+def test_exterior_and_symmetric_match_the_series_oracle():
+    """exterior(x, p) is coefficient p of the product of the series
+    (1 + [a]t)^(m_a), and symmetric(x, p) that of its inverse at -t, for
+    ranks 1..5, coordinates -3..3 with the zero weight often, multiplicities
+    -3..3 (zero ones are dropped by the constructor) and p from 0 to two
+    past the summed |multiplicities|, at most 8."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def cases(r):
+        weight = st.one_of(st.just((0,) * r), st.tuples(*[st.integers(-3, 3)] * r))
+        terms = st.dictionaries(weight, st.integers(-3, 3), max_size=4)
+        return terms.flatmap(
+            lambda t: st.tuples(
+                st.just(V(r, t)), st.integers(0, min(sum(map(abs, t.values())) + 2, 8))
+            )
+        )
+
+    @hypothesis.settings(deadline=None, max_examples=150)
+    @hypothesis.given(st.integers(1, 5).flatmap(cases))
+    def check(case):
+        x, p = case
+        ext, sym = exterior(x, p), symmetric(x, p)
+        assert ext == lambda_series_by_products(x, p).coefficient(p)
+        assert sym == symmetric_by_inverse(x, p)
+        for y in (ext, sym, *lambda_series(x, p).coeffs):
+            _assert_decoded(y, x.rank)
+
+    check()
+
+
+def test_exterior_prints_as_its_lambda_series_coefficient():
+    g = GroupSpec(SO_EVEN, 4)
+    x = exterior(standard(g), 2)
+    ext, coeff = exterior(x, 4), lambda_series(x, 4).coefficient(4)
+    assert ext.to_text() == coeff.to_text()
+    assert ext.to_json_obj() == coeff.to_json_obj()
+    assert augmentation(ext) == comb(28, 4)
+
+
+def test_exterior_and_symmetric_decode_one_coefficient(monkeypatch):
+    import chernrep.reps as reps
+
+    decoded, real = [], reps._from_codes
+
+    def from_codes(rank, coded, *rest):
+        decoded.append(coded)
+        return real(rank, coded, *rest)
+
+    monkeypatch.setattr(reps, "_from_codes", from_codes)
+    x = standard(GroupSpec(SO_ODD, 3))
+    assert augmentation(exterior(x, 3)) == comb(7, 3)
+    assert augmentation(symmetric(x, 3)) == comb(9, 3)
+    assert len(decoded) == 2
