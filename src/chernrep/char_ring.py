@@ -167,12 +167,12 @@ class VirtualCharacter:
 
         Terms are listed in descending lexicographic weight order.
         """
+        fmt = "[" + ",".join(["%d"] * self.rank) + "]"
         parts = []
-        for w in sorted(self.terms, reverse=True):
-            m = self.terms[w]
-            body = str(list(w))
+        for w, m in sorted(self.terms.items(), reverse=True):
+            body = fmt % w
             parts.append((m, body if abs(m) == 1 else f"{abs(m)}{body}"))
-        return _signed_sum(parts).replace(", ", ",")
+        return _signed_sum(parts)
 
     def to_json_obj(self):
         return [

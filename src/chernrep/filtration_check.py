@@ -16,7 +16,9 @@ Inside the model two subspaces are built per degree p and compared:
     gamma^a(x) modulo r^(d+1) depends only on the image of x.  The gamma
     operations never leave the model: gamma_t([b] - 1) = 1 + ([b] - 1)t,
     so gamma^a(z) is the elementary symmetric function e_a of the images
-    u_b of [b] - [0];
+    u_b of [b] - [0].  A product of two or more factors splits into two of
+    weights a <= p/2 and p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so
+    the span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only;
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
     cut down to the invariants).  The invariants of the model are the span
@@ -186,14 +188,22 @@ class TruncatedAlgebra:
         return vec
 
     def multiply(self, u, v):
-        """Product of two model vectors.  Both supports run in basis order,
-        which is code order, so the inner walk stops where the code of the
-        product reaches the cut, past degree d."""
-        out = [0] * self.dim
-        index, codes, cut = self.index, self.codes, self._cut
-        support_v = [(codes[j], b) for j, b in enumerate(v) if b]
+        """Product of two model vectors."""
+        return self._times(u, self._support(v))
+
+    def _support(self, v):
+        """The nonzero entries of v as (code, coefficient), in basis order."""
+        return [(self.codes[j], b) for j, b in enumerate(v) if b]
+
+    def _times(self, u, support_v, out=None):
+        """u times the vector with support support_v, added into out (a new
+        zero vector by default).  Both run in basis order, which is code
+        order, so the inner walk stops where the code of the product
+        reaches the cut, past degree d."""
+        out = [0] * self.dim if out is None else out
         if not support_v:
             return out
+        index, codes, cut = self.index, self.codes, self._cut
         lowest = support_v[0][0]
         for i, a in enumerate(u):
             if not a:
@@ -213,7 +223,7 @@ class TruncatedAlgebra:
         z = sum_b ([b] - [0]) in the model.  Since
         gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the elementary
         symmetric function e_a of the images u_b of [b] - [0], built by the
-        recurrence e_j += e_(j-1) u_b, one weight at a time."""
+        recurrence e_j += e_(j-1) u_b, one weight at a time, in place."""
         top = self.d if top is None else min(top, self.d)
         zero = (0,) * self.rank
         es = [self.unit()] + [self.zero() for _ in range(top)]
@@ -224,9 +234,9 @@ class TruncatedAlgebra:
             if mult != 1:
                 raise ValueError("gammas needs an orbit sum of distinct weights")
             u = self.reduce(VirtualCharacter(self.rank, {b: 1, zero: -1}))
-            seen += 1
+            u, seen = self._support(u), seen + 1
             for j in range(min(seen, top), 0, -1):
-                es[j] = [x + y for x, y in zip(es[j], self.multiply(es[j - 1], u))]
+                self._times(es[j - 1], u, es[j])
         return es
 
     def invariant_subspace(self, p=0):
@@ -325,16 +335,20 @@ class _PropContext:
 
     def product_span(self, p):
         """The image of Gamma^p(S): products of gamma operations of total
-        weight p applied to orbit-sum generators."""
+        weight p applied to orbit-sum generators.  Every product of two or
+        more factors splits into factors of weights a <= p/2 and p - a, so
+        gamma^p and the products of the rows of Gamma^a and Gamma^(p-a),
+        a <= p/2, span it; at 2a = p the pairs i <= j of rows suffice."""
         if p == 0:
             raise ValueError("product spans start at p = 1")
         if p not in self._product_spans:
-            span = Subspace.from_vectors(self.model.dim, self.gamma_span(p).rows)
-            for a in range(1, p):
-                right = self.product_span(p - a).rows
-                for u in self.gamma_span(a).rows:
-                    for v in right:
-                        span._insert(self.model.multiply(u, v))
+            model = self.model
+            span = Subspace.from_vectors(model.dim, self.gamma_span(p).rows)
+            for a in range(1, p // 2 + 1):
+                right = [model._support(v) for v in self.product_span(p - a).rows]
+                for i, u in enumerate(self.product_span(a).rows):
+                    for v in right[i if 2 * a == p else 0 :]:
+                        span._insert(model._times(u, v))
             self._product_spans[p] = span
         return self._product_spans[p]
 

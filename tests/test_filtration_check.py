@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -630,6 +631,66 @@ def test_check_prop_gl10_degree_four_keeps_its_output():
         "p=4  dim_gamma_S=5  dim_gamma_R_cap_S=5  equal\n"
         "PASS\n"
     )
+
+
+def product_span_by_all_splits(ctx, p, spans):
+    """Gamma^p as gamma^p plus gamma^a Gamma^(p-a) for every a in 1..p-1,
+    which forms most products more than once: the oracle for
+    `_PropContext.product_span`."""
+    if p not in spans:
+        model = ctx.model
+        span = Subspace.from_vectors(model.dim, ctx.gamma_span(p).rows)
+        for a in range(1, p):
+            right = product_span_by_all_splits(ctx, p - a, spans).rows
+            for u in ctx.gamma_span(a).rows:
+                for v in right:
+                    span._insert(model.multiply(u, v))
+        spans[p] = span
+    return spans[p]
+
+
+def test_product_spans_from_lower_pieces_match_all_splits():
+    cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
+    for g, d in cases + [(GroupSpec(GL, 3), 5)]:
+        ctx, spans = _PropContext(g, d), {}
+        for p in range(1, d + 1):
+            oracle = product_span_by_all_splits(ctx, p, spans)
+            assert oracle.rows == ctx.product_span(p).rows, (g, d, p)
+
+
+def test_product_spans_form_each_product_once(monkeypatch):
+    """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
+    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260."""
+    ctx = _PropContext(GroupSpec(GL, 3), 4, top=4)
+    ctx.gamma_span(1)
+    times, count = TruncatedAlgebra._times, [0]
+
+    def counted(self, u, support_v, out=None):
+        count[0] += 1
+        return times(self, u, support_v, out)
+
+    monkeypatch.setattr(TruncatedAlgebra, "_times", counted)
+    for p in range(1, 5):
+        ctx.product_span(p)
+    assert 0 < count[0] <= 260
+
+
+@pytest.mark.parametrize(
+    "group, degree, digest",
+    [
+        ("GL3", "8", "0d47261c3139876563a7170d06424e8d"),
+        ("GL5", "6", "307be4f9d188aa6768e7af7c993185b9"),
+    ],
+)
+def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
+    """Stdout md5 recorded when every split a + (p - a) was taken."""
+    start = time.monotonic()
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check-prop", group, "--p-max", degree, "--degree", degree]
+    assert run(argv, out, err) == 0
+    assert time.monotonic() - start < 20.0
+    assert err.getvalue() == ""
+    assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_prop_records_are_immutable_values():
