@@ -103,6 +103,15 @@ class SymbolicPolynomial:
         )
         object.__setattr__(self, "rank", rank)
 
+    @classmethod
+    def _trusted(cls, rank, terms):
+        """These terms as they are: int-tuple exponents of length rank,
+        nonzero Fraction values."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "rank", rank)
+        object.__setattr__(f, "terms", terms)
+        return f
+
     def __setattr__(self, name, value):
         raise AttributeError("SymbolicPolynomial is immutable")
 
@@ -209,7 +218,7 @@ class SymbolicPolynomial:
         return max(sum(e) for e in self.terms)
 
     def homogeneous_component(self, p):
-        return SymbolicPolynomial(
+        return SymbolicPolynomial._trusted(
             self.rank, {e: c for e, c in self.terms.items() if sum(e) == p}
         )
 
@@ -252,13 +261,15 @@ def _coded(terms, base):
 
 def _polynomial(terms, rank, base, divisor=None):
     """The SymbolicPolynomial of coded terms; with a divisor, each
-    coefficient of degree k is divided by divisor(k)."""
+    coefficient of degree k is divided by divisor(k).  Each code below
+    base^(rank + 1) decodes to its own exponent vector, so the decoded
+    terms are built as they are, without the constructor's checks."""
     out = {}
     for code, c in terms.items():
         if c:
             e = _decode(code, rank + 1, base)
-            out[e[1:]] = Fraction(c, divisor(e[0])) if divisor else c
-    return SymbolicPolynomial(rank, out)
+            out[e[1:]] = Fraction(c, divisor(e[0])) if divisor else Fraction(c)
+    return SymbolicPolynomial._trusted(rank, out)
 
 
 def _product(f, g, cut):

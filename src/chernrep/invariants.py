@@ -46,10 +46,16 @@ def _monomial(v):
 
 def is_invariant(f, g):
     """True iff f is fixed by every Weyl generator of g, checked by one
-    coefficient lookup per generator and term."""
+    coefficient lookup per generator and term.  `rewrite` needs it only
+    when its elimination stops, to tell a non-invariant input from a
+    defect: an elimination that ends has proved f invariant."""
+    _check_rank(f, g)
+    return _fixed_by_generators(f.terms, g, _monomial)
+
+
+def _check_rank(f, g):
     if f.rank != g.torus_rank:
         raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.torus_rank}")
-    return _fixed_by_generators(f.terms, g, _monomial)
 
 
 def symmetrize(f, g):
@@ -221,24 +227,34 @@ def rewrite(f, g):
     coefficient of I^k is +-1, the remainder stays in integers; graded lex
     order is the order of monomial codes.  A torus has no generators and is
     refused.
+
+    A remainder that empties has written f in the invariant generators, so
+    success proves f invariant and no separate check runs.  Only when the
+    elimination stops at a leading exponent that no generator monomial has
+    does `is_invariant` decide between InvarianceError and
+    ReductionDefectError.
     """
+    _check_rank(f, g)
     n = g.torus_rank
     base = max(f.total_degree(), 2 * n) + 1
     gens, product = _generator_products(g, base)
-    if not is_invariant(f, g):
-        raise InvarianceError("rewrite needs a Weyl-invariant polynomial")
     steps = [_decode(max(gen), n + 1, base)[1] for gen in gens]
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    rest = {code: int(c * scale) for code, c in _coded(f.terms, base).items()}
+    rest = {
+        code: c.numerator * (scale // c.denominator)
+        for code, c in _coded(f.terms, base).items()
+    }
     out = {}
     while rest:
         lead = max(rest)
         exps = _decode(lead, n + 1, base)[1:]
         gaps = [a - b for a, b in zip(exps, exps[1:] + (0,))]
         if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)):
+            if not is_invariant(f, g):
+                raise InvarianceError("rewrite needs a Weyl-invariant polynomial")
             raise ReductionDefectError(
-                f"leading exponent {exps} is not that of a generator monomial; "
-                "input was not invariant"
+                f"leading exponent {exps} is not that of a generator monomial, "
+                "although the input is invariant"
             )
         k = tuple(gap // s for gap, s in zip(gaps, steps))
         term = product(k)

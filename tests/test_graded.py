@@ -6,10 +6,12 @@ from math import factorial
 import pytest
 
 from chernrep.char_ring import VirtualCharacter, adams, augmentation
-from chernrep.errors import AugmentationError, FiltrationCapError
+from chernrep.errors import AugmentationError, FiltrationCapError, RankMismatchError
 from chernrep.graded import (
     BEYOND_CAP,
     SymbolicPolynomial,
+    _coded,
+    _polynomial,
     chern_class,
     default_cap,
     filtration_degree,
@@ -320,6 +322,47 @@ def test_newton_relations_ch_vs_chern():
             top = classes[q] * q
             acc = acc + (top if q % 2 == 0 else -top)
             assert not acc
+
+
+def test_polynomial_constructor_refusals():
+    with pytest.raises(RankMismatchError):
+        P(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        P(2, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        P(2, {(1, 0): 0.5})
+
+
+def test_decoded_polynomial_matches_the_constructor():
+    # the kernel's decode skips the constructor's checks, so it must give
+    # the same polynomial with nonzero Fraction values only
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def coded_terms(rank):
+        exps = st.tuples(*[st.integers(0, 4)] * rank)
+        return st.tuples(
+            st.just(rank),
+            st.dictionaries(exps, st.integers(-10**12, 10**12), max_size=6),
+            st.integers(0, 3),
+            st.booleans(),
+        )
+
+    @hypothesis.settings(deadline=None, max_examples=200)
+    @hypothesis.given(st.integers(1, 3).flatmap(coded_terms))
+    def run_check(case):
+        rank, terms, slack, divided = case
+        base = max((sum(e) for e in terms), default=0) + 1 + slack
+        divisor = factorial if divided else None
+        got = _polynomial(_coded(terms, base), rank, base, divisor)
+        expected = P(
+            rank,
+            {e: Fraction(c, factorial(sum(e))) if divided else c for e, c in terms.items()},
+        )
+        assert got == expected
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+
+    run_check()
 
 
 def test_polynomial_text_form():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chernrep import cli, invariants
-from chernrep.errors import InvarianceError, NoCanonicalGeneratorsError
+from chernrep.errors import InvarianceError, NoCanonicalGeneratorsError, RankMismatchError
 from chernrep.graded import SymbolicPolynomial, total_chern
 from chernrep.invariants import (
     GeneratorExpression,
@@ -178,6 +178,85 @@ def test_rewrite_requires_invariance():
         rewrite(P(2, {(1, 0): 1}), GroupSpec(GL, 2))
     with pytest.raises(InvarianceError):
         rewrite(P(2, {(1, 0): 1, (0, 1): 1}), GroupSpec(SP, 2))
+
+
+def test_rewrite_refuses_a_wrong_rank_before_any_work(monkeypatch):
+    def unreachable(g):
+        raise AssertionError("generators built for a polynomial of the wrong rank")
+
+    monkeypatch.setattr(invariants, "generator_definitions", unreachable)
+    with pytest.raises(RankMismatchError):
+        rewrite(P(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}), GroupSpec(GL, 2))
+
+
+def test_rewrite_refuses_every_perturbed_invariant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def polynomials(g):
+        exps = st.tuples(*[st.integers(0, 3)] * g.rank)
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        return st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(
+            lambda t: P(g.rank, t)
+        )
+
+    groups = st.builds(GroupSpec, st.sampled_from(ALL_FAMILIES), st.integers(1, 3))
+    extras = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    refused = []
+
+    @hypothesis.settings(deadline=None, max_examples=150)
+    @hypothesis.given(groups.flatmap(lambda g: st.tuples(st.just(g), polynomials(g))),
+                      st.sampled_from(["drop", "double", "add"]),
+                      st.integers(0, 10**6), extras)
+    def run_check(case, edit, pick, extra):
+        g, f = case
+        f = oracle_average(f, g)
+        assert evaluate(rewrite(f, g)) == f
+        terms = dict(f.terms)
+        if edit == "add":
+            e = extra[: g.rank]
+            hypothesis.assume(e not in terms)
+            terms[e] = 1
+        else:
+            hypothesis.assume(terms)
+            e = sorted(terms)[pick % len(terms)]
+            terms[e] = 0 if edit == "drop" else 2 * terms[e]
+        bent = P(g.rank, terms)
+        if oracle_average(bent, g) == bent:
+            # W fixes the edited monomial (GL1, SO2, a constant): still invariant
+            assert evaluate(rewrite(bent, g)) == bent
+            return
+        with pytest.raises(InvarianceError):
+            rewrite(bent, g)
+        refused.append(edit)
+
+    run_check()
+    assert {"drop", "double", "add"} <= set(refused)
+
+
+def test_rewrite_runs_is_invariant_only_when_the_elimination_stops(monkeypatch):
+    calls = []
+    check = invariants.is_invariant
+
+    def counted(f, g):
+        calls.append(g)
+        return check(f, g)
+
+    monkeypatch.setattr(invariants, "is_invariant", counted)
+    pins = {tuple(argv): digest for argv, digest in PINNED_STDOUT_MD5}
+    for argv in (
+        ["chern", "GL6", "ext(3,std)", "--max-degree", "10", "--basis", "generators"],
+        ["rewrite", "GL3", "(x1+x2+x3)^60"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(argv, out, err) == 0, err.getvalue()
+        assert hashlib.md5(out.getvalue().encode()).hexdigest() == pins[tuple(argv)]
+    assert calls == []
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["rewrite", "GL2", "x1"], out, err) == 2
+    assert err.getvalue().startswith("error[not-invariant]: ")
+    assert out.getvalue() == ""
+    assert calls == [GroupSpec(GL, 2)]
 
 
 def test_rewrite_torus_rejected():
