@@ -5,7 +5,6 @@ from .char_ring import (
     CharSeries,
     VirtualCharacter,
     adams,
-    adams_via_series,
     augmentation,
     gamma_series,
     lambda_series,
@@ -22,7 +21,6 @@ from .filtration_check import (
 from .graded import (
     BEYOND_CAP,
     SymbolicPolynomial,
-    chern_class,
     filtration_degree,
     leading_class,
     symbol_map,
@@ -65,10 +63,8 @@ __all__ = [
     "TruncatedAlgebra",
     "VirtualCharacter",
     "adams",
-    "adams_via_series",
     "assert_g_rep",
     "augmentation",
-    "chern_class",
     "dual",
     "evaluate",
     "exterior",

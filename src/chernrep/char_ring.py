@@ -12,6 +12,7 @@ by multiplying whole series.
 Everything here is exact integer arithmetic; no floats anywhere.
 """
 
+import operator
 from math import factorial
 
 from .errors import RankMismatchError
@@ -61,14 +62,15 @@ def _signed_sum(parts):
 
 
 class VirtualCharacter:
-    """Finitely supported map weight -> nonzero integer multiplicity."""
+    """Finitely supported map weight -> nonzero integer multiplicity.
+    Weights and multiplicities must be integers (TypeError otherwise)."""
 
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms=None):
         collected = {}
         for weight, mult in (terms or {}).items():
-            weight = tuple(weight)
+            weight, mult = tuple(map(operator.index, weight)), operator.index(mult)
             if len(weight) != rank:
                 raise RankMismatchError(
                     f"weight {weight} has length {len(weight)}, expected {rank}"
@@ -304,23 +306,6 @@ def _from_codes(rank, coded, base, bound, sign=1):
     return VirtualCharacter._trusted(
         rank, dict(zip(weights, [sign * coded[key] for key in codes]))
     )
-
-
-def adams_via_series(k, x):
-    """Adams operation read off the lambda series by Newton's identity
-    psi^j = sum_(i<j) (-1)^(i-1) lambda^i psi^(j-i) + (-1)^(j-1) j lambda^j,
-    the coefficientwise form of sum_j psi^j(x) (-t)^(j-1) =
-    lambda_t(x)^(-1) * d/dt lambda_t(x)."""
-    if k < 1:
-        raise ValueError("adams operations need k >= 1")
-    lam = lambda_series(x, k).coeffs
-    psi = [None]
-    for j in range(1, k + 1):
-        acc = lam[j] * ((-1) ** (j - 1) * j)
-        for i in range(1, j):
-            acc = acc + lam[i] * psi[j - i] * (-1) ** (i - 1)
-        psi.append(acc)
-    return psi[k]
 
 
 def gamma_series(x, d):

@@ -118,7 +118,6 @@ def _cmd_chern(args, out, err):
     g = parse_group(args.group)
     x = _character_for(args, g)
     d = _degree_for(args, x)
-    poly = total_chern(x, d)
     if args.basis == "generators":
         if g.family == TORUS:
             raise NoCanonicalGeneratorsError(
@@ -128,6 +127,8 @@ def _cmd_chern(args, out, err):
             raise InvarianceError(
                 "character is not Weyl-invariant; --basis generators needs a G-representation"
             )
+    poly = total_chern(x, d)
+    if args.basis == "generators":
         poly = rewrite(poly, g)
     if args.json:
         _emit_json(
@@ -221,7 +222,7 @@ def _cmd_check_prop(args, out, err):
 
 def _cmd_rewrite(args, out, err):
     g = parse_group(args.group)
-    f = parse_polynomial(args.polynomial, g.torus_rank)
+    f = parse_polynomial(args.polynomial, g.rank)
     expr = rewrite(f, g)
     if args.json:
         _emit_json(

@@ -138,7 +138,7 @@ class TruncatedAlgebra:
     def __init__(self, group, d):
         if d < 1:
             raise ValueError("truncation degree must be >= 1")
-        n = group.torus_rank
+        n = group.rank
         self.dim = model_dimension(n, d)
         self.group = group
         self.d = d
@@ -248,7 +248,7 @@ class TruncatedAlgebra:
         invariants vanishing before the suffix are spanned by the rows that
         pivot inside it."""
         if self._invariants is None:
-            self.orbit_sums, images = _independent_orbit_sums(self, self.d)
+            self.orbit_sums, images = _independent_orbit_sums(self)
             if images.dim + 1 < _invariant_count(self.group, self.d):
                 raise ReductionDefectError(
                     f"the orbit sums of {self.group} span fewer than its "
@@ -275,21 +275,20 @@ def _invariant_count(g, d):
     return sum(counts)
 
 
-def _independent_orbit_sums(model, bound):
+def _independent_orbit_sums(model):
     """Orbit sums z = sum_b ([b] - [0]) of the dominant weights in
-    [-bound, bound]^n, by increasing |a|_1, each kept when its model image
-    raises the rank, with the span of the kept images.  The images lie in
-    the augmentation-zero invariants, so the scan stops at their dimension,
-    the invariant count less one (a box with bound < d may end first).
-    The kept images span those of every orbit sum in the box, so gamma
-    monomials over the kept sums span the same subspaces (Fulton-Lang,
-    Riemann-Roch Algebra, ch. I-III)."""
+    [-d, d]^n, by increasing |a|_1, each kept when its model image raises
+    the rank, with the span of the kept images.  The images lie in the
+    augmentation-zero invariants, so the scan stops at their dimension,
+    the invariant count less one.  The kept images span those of every
+    orbit sum in the box, so gamma monomials over the kept sums span the
+    same subspaces (Fulton-Lang, Riemann-Roch Algebra, ch. I-III)."""
     g, n = model.group, model.rank
     zero = (0,) * n
     target = _invariant_count(g, model.d) - 1
     images = Subspace(model.dim)
     kept = []
-    for a in dominant_weights(g, bound):
+    for a in dominant_weights(g, model.d):
         if images.dim == target:
             break
         orb = orbit(g, a)
@@ -304,16 +303,12 @@ def _independent_orbit_sums(model, bound):
 class _PropContext:
     """Shared state for the per-degree subspace computations, which read
     gamma spans of degree at most top (p = 0 reads degree 1), over the
-    orbit sums that `_independent_orbit_sums` keeps: those of the model's
-    own scan when the box is [-d, d]^n."""
+    orbit sums that the model's scan of [-d, d]^n keeps."""
 
-    def __init__(self, g, d, bound=None, top=None):
+    def __init__(self, g, d, top=None):
         self.model = TruncatedAlgebra(g, d)
-        if bound is None or bound == d:
-            self.model.invariant_subspace()
-            self.generators = self.model.orbit_sums
-        else:
-            self.generators = _independent_orbit_sums(self.model, bound)[0]
+        self.model.invariant_subspace()
+        self.generators = self.model.orbit_sums
         self.top = d if top is None else min(max(top, 1), d)
         self._gamma_spans = None
         self._product_spans = {}
@@ -360,10 +355,10 @@ class _PropContext:
         return self.product_span(p)
 
 
-def gamma_subspace_invariant(g, p, d, bound=None):
+def gamma_subspace_invariant(g, p, d):
     """Image in the truncated model of the degree-p piece of the gamma
     filtration of the invariant subring."""
-    return _PropContext(g, d, bound, top=p).gamma_subspace(p)
+    return _PropContext(g, d, top=p).gamma_subspace(p)
 
 
 def gamma_subspace_ambient_cap_invariant(g, p, d):
@@ -397,12 +392,12 @@ class PropReport(_Record):
         }
 
 
-def verify_prop(g, p_max, d, bound=None):
+def verify_prop(g, p_max, d):
     """Compare, for each p <= p_max, the invariant-ring filtration subspace
     with the restricted ambient one.  The inclusion of the former in the
     latter must hold outright; equality failures are reported with the
     offending ambient basis vectors."""
-    ctx = _PropContext(g, d, bound, top=p_max)
+    ctx = _PropContext(g, d, top=p_max)
     entries = []
     for p in range(p_max + 1):
         s_side = ctx.gamma_subspace(p)

@@ -7,8 +7,7 @@ preserving, so the lowest nonvanishing homogeneous degree of the image
 computes the gamma-filtration degree, and homogeneous components of images
 of gamma operations are Chern classes.
 
-`chern_class` follows that definition through the gamma operations.
-`total_chern` computes the same classes by the splitting principle, as the
+`total_chern` computes these classes by the splitting principle, as the
 truncated product of (1 + La)^(m_a) over the weights a of multiplicity m_a,
 in integer arithmetic.  The symbol map is built one homogeneous degree at a
 time, so `filtration_degree` and `leading_class` stop at the first nonzero
@@ -23,8 +22,7 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
 
-from .char_ring import VirtualCharacter, _code, _decode, augmentation, binomial, gamma_series
-from .char_ring import _signed_sum
+from .char_ring import _code, _decode, _signed_sum, augmentation, binomial
 from .errors import (
     AugmentationError,
     FiltrationCapError,
@@ -383,24 +381,6 @@ def leading_class(x, cap=None):
     if lowest is None:
         raise FiltrationCapError(f"no nonzero component up to degree {cap}")
     return lowest[1]
-
-
-def chern_class(x, p):
-    """c_p(x): the degree-p component of the symbol of gamma^p(x - eps(x)),
-    i.e. its class in the p-th graded piece, a homogeneous polynomial of
-    degree p or zero; c_0 = 1.
-
-    This is the definition by gamma operations; `total_chern` computes the
-    same classes by the splitting principle."""
-    if p < 0:
-        raise ValueError("chern class degree must be >= 0")
-    rank = x.rank
-    if p == 0:
-        return SymbolicPolynomial.one(rank)
-    reduced = x - VirtualCharacter.unit(rank) * augmentation(x)
-    g = gamma_series(reduced, p).coefficient(p)
-    numerators = next(islice(_symbol_numerators(g, p + 1), p, None))
-    return _polynomial(numerators, rank, p + 1, factorial)
 
 
 def total_chern(x, d):

@@ -54,8 +54,8 @@ def is_invariant(f, g):
 
 
 def _check_rank(f, g):
-    if f.rank != g.torus_rank:
-        raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.torus_rank}")
+    if f.rank != g.rank:
+        raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.rank}")
 
 
 def symmetrize(f, g):
@@ -65,8 +65,7 @@ def symmetrize(f, g):
     c / |O| * sum of the monomials of O, signed by `_monomial`, so terms
     that W negates cancel.  A torus's W is trivial and f is returned; the
     orbit guard is the only refusal."""
-    if f.rank != g.torus_rank:
-        raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.torus_rank}")
+    _check_rank(f, g)
     if g.family == TORUS:
         return f
     terms = {}
@@ -99,7 +98,8 @@ def generator_definitions(g):
 
 
 class GeneratorExpression:
-    """Polynomial with rational coefficients in the generators I_1..I_l."""
+    """Polynomial with rational coefficients in the generators I_1..I_l,
+    its terms checked as those of a polynomial in rank-many variables."""
 
     __slots__ = ("group", "terms")
 
@@ -108,24 +108,8 @@ class GeneratorExpression:
             raise NoCanonicalGeneratorsError(
                 "a torus has no canonical invariant generators"
             )
-        count = group.rank
-        collected = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != count:
-                raise RankMismatchError(
-                    f"generator exponent vector {exps} has length {len(exps)}, "
-                    f"expected {count}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be nonnegative")
-            c = Fraction(c)
-            if c:
-                collected[exps] = collected.get(exps, Fraction(0)) + c
         object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in collected.items() if c}
-        )
+        object.__setattr__(self, "terms", SymbolicPolynomial(group.rank, terms).terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorExpression is immutable")
@@ -148,14 +132,6 @@ class GeneratorExpression:
     def _ordered_exps(self):
         degree = self._degree_of()
         return sorted(self.terms, key=lambda e: (degree(e), tuple(-k for k in e)))
-
-    def leading_term(self):
-        """Term of highest polynomial degree, as (exponents, coefficient)."""
-        if not self.terms:
-            return None
-        degree = self._degree_of()
-        e = max(self.terms, key=lambda e: (degree(e), e))
-        return e, self.terms[e]
 
     def to_text(self):
         return _terms_text(self.terms, self._ordered_exps(), "I")
@@ -184,7 +160,7 @@ def _generator_products(g, base):
                 f"generator {name} has a leading coefficient other than +-1"
             )
         gens.append(gen)
-    cut = base ** (g.torus_rank + 1)
+    cut = base ** (g.rank + 1)
     memo = {(0,) * len(gens): {0: 1}}
 
     def product(k):
@@ -205,13 +181,13 @@ def evaluate(expr):
     """Substitute the generator polynomials into an expression and expand."""
     g = expr.group
     top = max(map(expr._degree_of(), expr.terms), default=0)
-    base = max(top, 2 * g.torus_rank) + 1
+    base = max(top, 2 * g.rank) + 1
     _, product = _generator_products(g, base)
     terms = {}
     for k, c in expr.terms.items():
         for e, v in product(k).items():
             terms[e] = terms.get(e, 0) + c * v
-    return _polynomial(terms, g.torus_rank, base)
+    return _polynomial(terms, g.rank, base)
 
 
 def rewrite(f, g):
@@ -235,7 +211,7 @@ def rewrite(f, g):
     ReductionDefectError.
     """
     _check_rank(f, g)
-    n = g.torus_rank
+    n = g.rank
     base = max(f.total_degree(), 2 * n) + 1
     gens, product = _generator_products(g, base)
     steps = [_decode(max(gen), n + 1, base)[1] for gen in gens]

@@ -42,7 +42,7 @@ def parse_group(text):
     return GroupSpec(SO_EVEN, num // 2)
 
 
-_TOKEN_RX = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(.))")
+_TOKEN_RX = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
 
 
 class _Tokens:
@@ -94,8 +94,7 @@ class _Tokens:
 
 
 def _parse_poly_expr(toks, rank, prefix):
-    sign = -1 if toks.accept("-") else 1
-    out = _parse_poly_term(toks, rank, prefix) * sign
+    out = _parse_poly_term(toks, rank, prefix)
     while True:
         if toks.accept("+"):
             out = out + _parse_poly_term(toks, rank, prefix)
@@ -113,6 +112,10 @@ def _parse_poly_term(toks, rank, prefix):
 
 
 def _parse_poly_factor(toks, rank, prefix):
+    """A factor, with unary minus looser than ^ as in Python: -x1^2 is
+    -(x1^2) wherever it stands."""
+    if toks.accept("-"):
+        return -_parse_poly_factor(toks, rank, prefix)
     base = _parse_poly_primary(toks, rank, prefix)
     if toks.accept("^"):
         k = toks.expect("int")[1]
@@ -122,9 +125,6 @@ def _parse_poly_factor(toks, rank, prefix):
 
 def _parse_poly_primary(toks, rank, prefix):
     kind, value, pos = toks.peek()
-    if kind == "-":
-        toks.next()
-        return -_parse_poly_primary(toks, rank, prefix)
     if kind == "int":
         toks.next()
         num = value
@@ -292,9 +292,9 @@ def _parse_rep_atom(toks, g):
         return RDual(arg)
     if value == "weights":
         toks.expect("[")
-        ws = [_parse_weight(toks, g.torus_rank)]
+        ws = [_parse_weight(toks, g.rank)]
         while toks.accept(","):
-            ws.append(_parse_weight(toks, g.torus_rank))
+            ws.append(_parse_weight(toks, g.rank))
         toks.expect("]")
         return RWeights(tuple(ws))
     raise ParseError(f"unknown representation {value!r}", pos)
@@ -323,7 +323,7 @@ def rep_to_character(node, g):
     if isinstance(node, RDual):
         return reps.dual(rep_to_character(node.arg, g))
     if isinstance(node, RWeights):
-        return VirtualCharacter.from_weights(g.torus_rank, node.weights)
+        return VirtualCharacter.from_weights(g.rank, node.weights)
     if isinstance(node, RAdd):
         return rep_to_character(node.left, g) + rep_to_character(node.right, g)
     if isinstance(node, RSub):

@@ -67,6 +67,6 @@ def assert_g_rep(x, g):
     """True iff x is invariant under the Weyl group of g, i.e. lies in the
     image of R(G) inside R(T): each Weyl generator sends every weight to
     one of the same multiplicity, checked by lookups."""
-    if x.rank != g.torus_rank:
-        raise RankMismatchError(f"character rank {x.rank} != torus rank {g.torus_rank}")
+    if x.rank != g.rank:
+        raise RankMismatchError(f"character rank {x.rank} != torus rank {g.rank}")
     return _fixed_by_generators(x.terms, g, lambda weight: (weight, 1))

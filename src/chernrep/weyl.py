@@ -79,10 +79,6 @@ class GroupSpec(_Record):
             raise ValueError("rank must be >= 1")
 
     @property
-    def torus_rank(self):
-        return self.rank
-
-    @property
     def ambient_dim(self):
         """Dimension of the standard representation."""
         if self.family == GL:
@@ -238,8 +234,8 @@ def orbit(g, a):
     with EnumerationLimitError before any work when the closure would move
     more than ENUMERATION_LIMIT coordinates: every generator moves each of
     the |W.a| weights, n coordinates at a time."""
-    if len(a) != g.torus_rank:
-        raise RankMismatchError(f"weight length {len(a)} != rank {g.torus_rank}")
+    if len(a) != g.rank:
+        raise RankMismatchError(f"weight length {len(a)} != rank {g.rank}")
     gens = weyl_generators(g)
     size = _orbit_size(g, a)
     moves = size * len(gens) * len(a)

@@ -1,14 +1,25 @@
-"""Whole-series arithmetic on `CharSeries`: the test oracle for the coded
-one-pass `lambda_series`, `exterior` and `symmetric` of `chernrep`.
+"""Second routes through the series, the test oracles for `chernrep`.
 
-The library never multiplies or inverts a series; it builds the lambda
-series in one pass over integer weight codes.  Here the series are
-multiplied and inverted coefficient by coefficient on `VirtualCharacter`s,
-so each check against this module takes an independent route.
+Whole-series arithmetic on `CharSeries` checks the coded one-pass
+`lambda_series`, `exterior` and `symmetric`: the library never multiplies
+or inverts a series, and here the series are multiplied and inverted
+coefficient by coefficient on `VirtualCharacter`s.  Newton's identity on
+the lambda coefficients checks `adams`, which dilates weights, and the
+paper's definition of Chern classes through gamma operations checks
+`total_chern`, which takes the splitting principle.  So each check against
+this module takes an independent route.
 """
 
-from chernrep.char_ring import CharSeries, VirtualCharacter, binomial
+from chernrep.char_ring import (
+    CharSeries,
+    VirtualCharacter,
+    augmentation,
+    binomial,
+    gamma_series,
+    lambda_series,
+)
 from chernrep.errors import RankMismatchError
+from chernrep.graded import SymbolicPolynomial, symbol_map
 
 
 def series_product(a, b):
@@ -59,3 +70,32 @@ def symmetric_by_inverse(x, p):
     lam = lambda_series_by_products(x, p)
     alt = CharSeries(x.rank, [c * (-1) ** k for k, c in enumerate(lam.coeffs)])
     return series_inverse(alt).coefficient(p)
+
+
+def adams_via_series(k, x):
+    """Adams operation read off the lambda series by Newton's identity
+    psi^j = sum_(i<j) (-1)^(i-1) lambda^i psi^(j-i) + (-1)^(j-1) j lambda^j,
+    the coefficientwise form of sum_j psi^j(x) (-t)^(j-1) =
+    lambda_t(x)^(-1) * d/dt lambda_t(x)."""
+    if k < 1:
+        raise ValueError("adams operations need k >= 1")
+    lam = lambda_series(x, k).coeffs
+    psi = [None]
+    for j in range(1, k + 1):
+        acc = lam[j] * ((-1) ** (j - 1) * j)
+        for i in range(1, j):
+            acc = acc + lam[i] * psi[j - i] * (-1) ** (i - 1)
+        psi.append(acc)
+    return psi[k]
+
+
+def chern_class(x, p):
+    """c_p(x) by the definition through gamma operations: the degree-p
+    component of the symbol of gamma^p(x - eps(x)), a homogeneous
+    polynomial of degree p or zero; c_0 = 1."""
+    if p < 0:
+        raise ValueError("chern class degree must be >= 0")
+    if p == 0:
+        return SymbolicPolynomial.one(x.rank)
+    reduced = x - VirtualCharacter.unit(x.rank) * augmentation(x)
+    return symbol_map(gamma_series(reduced, p).coefficient(p), p).homogeneous_component(p)

@@ -15,14 +15,12 @@ import chernrep.cli as cli
 from chernrep.char_ring import (
     VirtualCharacter,
     adams,
-    adams_via_series,
     augmentation,
     lambda_series,
 )
 from chernrep.graded import (
     BEYOND_CAP,
     SymbolicPolynomial,
-    chern_class,
     default_cap,
     filtration_degree,
     symbol_map,
@@ -31,8 +29,9 @@ from chernrep.graded import (
 from chernrep.invariants import evaluate, rewrite, symmetrize
 from chernrep.filtration_check import gamma_subspace_invariant, verify_prop
 from chernrep.reps import standard
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, GroupSpec
-from series_oracle import series_product
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, GroupSpec, invariant_degrees
+from filtration_oracle import full_box_context
+from series_oracle import adams_via_series, chern_class, series_product
 
 
 def rand_char(rng, rank, max_weights=5, coord=2, mult=2):
@@ -167,6 +166,14 @@ def _cli_text(argv):
     return out.getvalue().strip()
 
 
+def leading_term(expr):
+    """The term of a generator expression of highest polynomial degree, as
+    (exponents, coefficient)."""
+    degrees = invariant_degrees(expr.group)
+    e = max(expr.terms, key=lambda e: (sum(k * d for k, d in zip(e, degrees)), e))
+    return e, expr.terms[e]
+
+
 def test_criterion_6_classical_group_examples():
     start = time.monotonic()
     for rank in range(1, 5):
@@ -188,7 +195,7 @@ def test_criterion_6_classical_group_examples():
     for rank in (2, 3):
         group = GroupSpec(SO_EVEN, rank)
         expr = rewrite(total_chern(standard(group), 2 * rank), group)
-        top_exps, top_coeff = expr.leading_term()
+        top_exps, top_coeff = leading_term(expr)
         assert top_exps == tuple(0 if i < rank - 1 else 2 for i in range(rank))
         assert abs(top_coeff) == 1
         assert evaluate(expr) == total_chern(standard(group), 2 * rank)
@@ -213,9 +220,8 @@ def test_criterion_7_filtration_comparison():
         report = verify_prop(g, p_max, d)
         assert report.passed, report.to_json_obj()
         for p in range(p_max + 1):
-            assert gamma_subspace_invariant(g, p, d) == gamma_subspace_invariant(
-                g, p, d, bound=d + 1
-            )
+            full = full_box_context(g, d, d + 1, top=p)
+            assert gamma_subspace_invariant(g, p, d) == full.gamma_subspace(p)
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(f"criterion 7 (filtration comparison + stability, {elapsed:.2f}s): PASS")

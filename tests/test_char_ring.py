@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from chernrep.char_ring import (
     _decode,
     _from_codes,
     adams,
-    adams_via_series,
     augmentation,
     binomial,
     gamma_series,
@@ -18,6 +18,7 @@ from chernrep.char_ring import (
 from chernrep.errors import RankMismatchError
 from chernrep.reps import symmetric
 from series_oracle import (
+    adams_via_series,
     lambda_series_by_products,
     series_inverse,
     series_product,
@@ -131,6 +132,13 @@ def test_rank_mismatch():
         V(2, {(1, 0): 1}) + V(3, {(1, 0, 0): 1})
     with pytest.raises(RankMismatchError):
         V(2, {(1, 0): 1}) * V(1, {(1,): 1})
+
+
+def test_characters_refuse_non_integers():
+    for terms in ({(1,): 0.5}, {(0.5,): 1}, {(1,): 1.0}, {(1,): Fraction(1)}):
+        with pytest.raises(TypeError):
+            V(1, terms)
+    assert V(1, {(True,): 2}) == V(1, {(1,): 2})
 
 
 def test_augmentation():

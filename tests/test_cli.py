@@ -36,9 +36,8 @@ def test_chern_generators_sp4():
 
 def test_chern_monomials_default_degree():
     # default --max-degree is the virtual dimension of the input
-    code, out, _ = run_cli(["chern", "GL2", "std"])
-    assert code == 0
-    assert out.strip() == "1 + x1 + x2 + x1*x2"
+    for rep in ("std", "std "):
+        assert run_cli(["chern", "GL2", rep]) == (0, "1 + x1 + x2 + x1*x2\n", "")
 
 
 def test_chern_so8_ext2_generators():
@@ -102,6 +101,8 @@ def test_rewrite_output():
     code, out, _ = run_cli(["rewrite", "GL2", "x1^2 + x2^2"])
     assert code == 0
     assert out.strip() == "I1^2 - 2*I2"
+    assert run_cli(["rewrite", "GL2", "x1+x2 "]) == (0, "I1\n", "")
+    assert run_cli(["rewrite", "GL2", "x1*-x2^2 + x1*x2^2"]) == (0, "0\n", "")
 
 
 def test_check_prop_pass():
@@ -169,6 +170,22 @@ def test_computation_errors_exit_2():
     assert code == 2 and "error[not-invariant]" in err
     code, _, err = run_cli(["check-prop", "T10", "--p-max", "2", "--degree", "10"])
     assert code == 2 and "error[model-size]" in err
+
+
+def test_generator_basis_refusals_come_before_any_work(monkeypatch):
+    """The torus and non-invariance refusals of --basis generators are
+    made before the total Chern class is formed."""
+
+    def forbidden(x, d):
+        raise AssertionError("total_chern called")
+
+    monkeypatch.setattr(cli, "total_chern", forbidden)
+    rep = "ext(3,std) + weights[[1,0,0,0,0,0]]"
+    argv = ["chern", "GL6", rep, "--max-degree", "10", "--basis", "generators"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and err.startswith("error[not-invariant]: ")
+    code, out, err = run_cli(["chern", "T2", "weights[[1,0]]", "--basis", "generators"])
+    assert (code, out) == (2, "") and err.startswith("error[no-generators]: ")
 
 
 def test_help_exits_zero():

@@ -33,31 +33,13 @@ from chernrep.weyl import (
     orbit,
     weyl_generators,
 )
+from filtration_oracle import full_box_context, orbit_sum_generators
 
 rng = random.Random(31337)
 
 
 def V(rank, terms):
     return VirtualCharacter(rank, terms)
-
-
-def orbit_sum_generators(g, bound):
-    """Augmentation-zero orbit sums over weights with coordinates in
-    [-bound, bound]; exactly one per Weyl orbit.  The full-box oracle for
-    the orbit sums that the scan of `_PropContext` keeps."""
-    n = g.torus_rank
-    zero = (0,) * n
-    seen = {zero}
-    gens = []
-    for a in itertools.product(range(-bound, bound + 1), repeat=n):
-        if a in seen:
-            continue
-        orb = orbit(g, a)
-        seen |= orb
-        terms = {b: 1 for b in orb}
-        terms[zero] = -len(orb)
-        gens.append(VirtualCharacter(n, terms))
-    return gens
 
 
 def test_model_dimensions():
@@ -225,9 +207,8 @@ def test_report_json_schema():
 def test_generator_bound_stability_small():
     g = GroupSpec(GL, 2)
     for p in range(4):
-        assert gamma_subspace_invariant(g, p, 3) == gamma_subspace_invariant(
-            g, p, 3, bound=4
-        )
+        full = full_box_context(g, 3, 4, top=p)
+        assert gamma_subspace_invariant(g, p, 3) == full.gamma_subspace(p)
 
 
 def test_orbit_sum_generators_one_per_orbit():
@@ -497,14 +478,6 @@ def test_witness_is_rational_reduced_row(monkeypatch):
     )
 
 
-def full_box_context(g, d, bound=None, top=None):
-    """The full-box route: gamma spans over one orbit sum per Weyl orbit in
-    the whole box [-bound, bound]^n, the oracle for the kept generators."""
-    ctx = _PropContext(g, d, bound, top)
-    ctx.generators = orbit_sum_generators(g, d if bound is None else bound)
-    return ctx
-
-
 ORACLE_GROUPS = [
     (GL, 2), (GL, 3), (GL, 4), (SP, 2), (SP, 3),
     (SO_EVEN, 2), (SO_ODD, 2), (SO_EVEN, 3), (SO_ODD, 3), (SO_EVEN, 4),
@@ -524,15 +497,12 @@ def test_kept_generators_are_independent_and_at_most_the_invariants():
     for family, rank in ORACLE_GROUPS + [(TORUS, 2)]:
         g = GroupSpec(family, rank)
         for d in range(1, 5):
-            for bound in (1, d, d + 1):
-                ctx = _PropContext(g, d, bound)
-                model = ctx.model
-                target = model.invariant_subspace(1).dim
-                images = [model.reduce(z) for z in ctx.generators]
-                assert Subspace.from_vectors(model.dim, images).dim == len(images)
-                assert len(ctx.generators) <= target
-                if bound >= d:
-                    assert len(ctx.generators) == target
+            ctx = _PropContext(g, d)
+            model = ctx.model
+            target = model.invariant_subspace(1).dim
+            images = [model.reduce(z) for z in ctx.generators]
+            assert Subspace.from_vectors(model.dim, images).dim == len(images)
+            assert len(ctx.generators) == target
 
 
 def test_check_prop_gl4_degree_five_matches_the_full_box_route():
@@ -555,8 +525,8 @@ def test_check_prop_gl4_degree_five_matches_the_full_box_route():
 
 
 def test_kept_spans_equal_full_box_spans_on_random_boxes():
-    """Also for bound < d, where the box does not span the invariants and
-    the scan runs to its edge."""
+    """The sums kept from [-d, d]^n against every orbit sum of a box
+    [-bound, bound]^n with bound d or d + 1."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -565,13 +535,13 @@ def test_kept_spans_equal_full_box_spans_on_random_boxes():
         st.sampled_from([GL, SP, SO_ODD, SO_EVEN, TORUS]),
         st.integers(1, 3),
         st.integers(1, 3),
-        st.integers(1, 3),
+        st.integers(0, 1),
     )
-    def check(family, rank, d, bound):
+    def check(family, rank, d, extra):
         if family == TORUS:
             rank = min(rank, 2)
         g = GroupSpec(family, rank)
-        kept, full = _PropContext(g, d, bound), full_box_context(g, d, bound)
+        kept, full = _PropContext(g, d), full_box_context(g, d, d + extra)
         for p in range(d + 1):
             assert kept.gamma_subspace(p) == full.gamma_subspace(p)
 

@@ -12,13 +12,13 @@ from chernrep.graded import (
     SymbolicPolynomial,
     _coded,
     _polynomial,
-    chern_class,
     default_cap,
     filtration_degree,
     leading_class,
     symbol_map,
     total_chern,
 )
+from series_oracle import chern_class
 
 rng = random.Random(515)
 

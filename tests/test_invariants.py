@@ -126,6 +126,19 @@ def test_generator_definitions_torus_rejected():
         generator_definitions(GroupSpec(TORUS, 2))
 
 
+def test_generator_expression_checks_terms_like_a_polynomial():
+    gl2 = GroupSpec(GL, 2)
+    with pytest.raises(TypeError):
+        GeneratorExpression(gl2, {(1, 0): 0.5})
+    with pytest.raises(RankMismatchError):
+        GeneratorExpression(gl2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        GeneratorExpression(gl2, {(-1, 0): 1})
+    e = GeneratorExpression(gl2, {(1, 0): Fraction(1, 2), (0, 1): 0, (0, 2): 3})
+    assert e.terms == {(1, 0): Fraction(1, 2), (0, 2): Fraction(3)}
+    assert all(type(c) is Fraction for c in e.terms.values())
+
+
 def test_evaluate_examples():
     gl2 = GroupSpec(GL, 2)
     e = GeneratorExpression(gl2, {(0, 0): 1, (1, 0): 1})

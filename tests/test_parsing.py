@@ -142,6 +142,32 @@ def test_polynomial_parse_examples():
         parse_polynomial("x1 +", 1)
 
 
+def test_unary_minus_binds_looser_than_power_everywhere():
+    """-x1^2 is -(x1^2) after an operator as at the start, as in Python."""
+    x1sq = SymbolicPolynomial(1, {(2,): 1})
+    assert parse_polynomial("-x1^2", 1) == -x1sq
+    assert parse_polynomial("2*-x1^2", 1) == x1sq * -2
+    assert parse_polynomial("x1 - -x1^2", 1) == SymbolicPolynomial(1, {(1,): 1, (2,): 1})
+    assert parse_polynomial("-x1^2*-x1^2", 1) == SymbolicPolynomial(1, {(4,): 1})
+    assert parse_polynomial("(-x1)^2", 1) == x1sq
+    assert parse_polynomial("--x1", 1) == SymbolicPolynomial(1, {(1,): 1})
+    g = parse_group("GL2")
+    assert parse_generator_expression("I1*-I2^2", g) == GeneratorExpression(
+        g, {(1, 2): -1}
+    )
+    assert not parse_polynomial("x1*-x2^2 + x1*x2^2", 2)
+
+
+def test_surrounding_whitespace_is_ignored():
+    g = parse_group("GL2")
+    for text in ("x1+x2 ", "  x1 + x2\t", " x1+x2"):
+        assert parse_polynomial(text, 2) == parse_polynomial("x1+x2", 2)
+    assert parse_rep("std ", g) == RStd()
+    assert parse_character("[1,0] ", 2) == VirtualCharacter(2, {(1, 0): 1})
+    with pytest.raises(ParseError):
+        parse_polynomial("x1 $", 2)
+
+
 def rand_char(rank):
     terms = {}
     for _ in range(rng.randint(0, 5)):
