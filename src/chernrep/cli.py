@@ -9,6 +9,10 @@ are written to stderr as ``error[<code>]: message``.
 import argparse
 import sys
 
+# Every subcommand runs errors, parsing, weyl and char_ring; the other
+# layers are lazy modules (see __init__) and run only where a subcommand
+# looks a function up on them.
+from . import filtration_check, graded, invariants, reps
 from .char_ring import adams as adams_op
 from .char_ring import augmentation
 from .errors import (
@@ -17,16 +21,12 @@ from .errors import (
     NoCanonicalGeneratorsError,
     ParseError,
 )
-from .filtration_check import verify_prop
-from .graded import symbol_map, total_chern
-from .invariants import rewrite
 from .parsing import (
     parse_group,
     parse_polynomial,
     parse_rep,
     rep_to_character,
 )
-from .reps import assert_g_rep, exterior
 from .weyl import TORUS
 
 
@@ -123,13 +123,13 @@ def _cmd_chern(args, out, err):
             raise NoCanonicalGeneratorsError(
                 "no canonical generators for a torus; use --basis monomials"
             )
-        if not assert_g_rep(x, g):
+        if not reps.assert_g_rep(x, g):
             raise InvarianceError(
                 "character is not Weyl-invariant; --basis generators needs a G-representation"
             )
-    poly = total_chern(x, d)
+    poly = graded.total_chern(x, d)
     if args.basis == "generators":
-        poly = rewrite(poly, g)
+        poly = invariants.rewrite(poly, g)
     if args.json:
         _emit_json(
             {
@@ -150,7 +150,7 @@ def _cmd_ch(args, out, err):
     g = parse_group(args.group)
     x = _character_for(args, g)
     d = _degree_for(args, x)
-    poly = symbol_map(x, d)
+    poly = graded.symbol_map(x, d)
     if args.json:
         _emit_json(
             {
@@ -175,7 +175,7 @@ def _cmd_adams(args, out, err):
 def _cmd_lambda(args, out, err):
     if args.p < 0:
         raise UsageError("-p must be >= 0")
-    return _print_operation(args, "p", args.p, lambda p, x: exterior(x, p), out)
+    return _print_operation(args, "p", args.p, lambda p, x: reps.exterior(x, p), out)
 
 
 def _print_operation(args, key, n, op, out):
@@ -195,7 +195,7 @@ def _cmd_check_prop(args, out, err):
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
     g = parse_group(args.group)
-    report = verify_prop(g, args.p_max, args.degree)
+    report = filtration_check.verify_prop(g, args.p_max, args.degree)
     if args.json:
         _emit_json(report.to_json_obj(), out)
     else:
@@ -223,7 +223,7 @@ def _cmd_check_prop(args, out, err):
 def _cmd_rewrite(args, out, err):
     g = parse_group(args.group)
     f = parse_polynomial(args.polynomial, g.rank)
-    expr = rewrite(f, g)
+    expr = invariants.rewrite(f, g)
     if args.json:
         _emit_json(
             {

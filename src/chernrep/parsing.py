@@ -5,13 +5,10 @@ All canonical text emitted by the library round-trips through these parsers.
 """
 
 import re
-from fractions import Fraction
 
-from . import reps
+from . import graded, invariants, reps
 from .char_ring import VirtualCharacter
 from .errors import ParseError
-from .graded import SymbolicPolynomial
-from .invariants import GeneratorExpression
 from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, _Record
 
 _GROUP_RX = re.compile(r"^(GL|Sp|SO|T)(\d+)$")
@@ -132,8 +129,9 @@ def _parse_poly_primary(toks, rank, prefix):
             den = toks.expect("int")[1]
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            return SymbolicPolynomial.constant(rank, Fraction(num, den))
-        return SymbolicPolynomial.constant(rank, num)
+            from fractions import Fraction  # here, not at the top: lambda and adams never need it
+            return graded.SymbolicPolynomial.constant(rank, Fraction(num, den))
+        return graded.SymbolicPolynomial.constant(rank, num)
     if kind == "name":
         toks.next()
         m = re.fullmatch(re.escape(prefix) + r"([1-9]\d*)", value)
@@ -144,7 +142,7 @@ def _parse_poly_primary(toks, rank, prefix):
         idx = int(m.group(1))
         if idx > rank:
             raise ParseError(f"variable {value!r} outside rank {rank}", pos)
-        return SymbolicPolynomial.variable(rank, idx)
+        return graded.SymbolicPolynomial.variable(rank, idx)
     if kind == "(":
         toks.next()
         inner = _parse_poly_expr(toks, rank, prefix)
@@ -166,7 +164,7 @@ def parse_generator_expression(text, group):
     toks = _Tokens(text)
     poly = _parse_poly_expr(toks, group.rank, "I")
     toks.done()
-    return GeneratorExpression(group, poly.terms)
+    return invariants.GeneratorExpression(group, poly.terms)
 
 
 def _parse_signed_int(toks):

@@ -9,6 +9,7 @@ import time
 
 import chernrep
 import chernrep.cli as cli
+from chernrep import filtration_check, graded
 from chernrep.filtration_check import PropEntry, PropReport
 
 
@@ -130,7 +131,7 @@ def test_check_prop_failure_exit_code(monkeypatch):
         entries=(PropEntry(1, 1, 2, False, ((1, 0, 0),)),),
         passed=False,
     )
-    monkeypatch.setattr(cli, "verify_prop", lambda *a, **k: failing)
+    monkeypatch.setattr(filtration_check, "verify_prop", lambda *a, **k: failing)
     code, out, err = run_cli(["check-prop", "GL2", "--p-max", "1", "--degree", "2"])
     assert code == 3
     assert "FAIL" in out
@@ -179,7 +180,7 @@ def test_generator_basis_refusals_come_before_any_work(monkeypatch):
     def forbidden(x, d):
         raise AssertionError("total_chern called")
 
-    monkeypatch.setattr(cli, "total_chern", forbidden)
+    monkeypatch.setattr(graded, "total_chern", forbidden)
     rep = "ext(3,std) + weights[[1,0,0,0,0,0]]"
     argv = ["chern", "GL6", rep, "--max-degree", "10", "--basis", "generators"]
     code, out, err = run_cli(argv)
@@ -278,20 +279,122 @@ def _imports(*args):
     return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}, proc
 
 
+def _child(code, *argv):
+    """Run `python -c code argv...` with chernrep importable; the JSON value
+    it prints."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_TRACER_PROBE = """
+import io, json, sys
+import chernrep.cli
+layers = sorted(n for n in sys.modules if n.startswith("chernrep."))
+sys.path.insert(0, sys.argv[1])
+import tracer
+recorder = tracer.Recorder()
+tracer.install(recorder)
+wrapped = {n for n in layers for v in vars(sys.modules[n]).values()
+           if getattr(getattr(v, "__wrapped__", None), "__module__", None) == n}
+model = chernrep.filtration_check.TruncatedAlgebra
+methods = [m for m in vars(model) if hasattr(getattr(model, m), "__wrapped__")]
+chernrep.cli.run(["chern", "GL2", "std"], io.StringIO(), io.StringIO())
+spans = {span[0] for span in recorder.spans}
+print(json.dumps([layers, sorted(wrapped), sorted(methods), sorted(spans)]))
+"""
+
+
 def test_start_up_imports_no_dataclasses_or_json():
     bare, _ = _imports("-c", "pass")
     loaded, _ = _imports("-c", "import chernrep.cli")
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
     assert not heavy & (loaded - bare)
-    layers = ("cli", "parsing", "reps", "char_ring", "graded", "invariants", "weyl",
-              "filtration_check")
-    assert {f"chernrep.{layer}" for layer in layers} <= loaded
+    # perfbench/tracer.py reads sys.modules["chernrep.<layer>"] for every
+    # layer right after `import chernrep.cli`, and wraps what it finds there.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    layers, wrapped, methods, spans = _child(_TRACER_PROBE, perfbench)
+    traced = {f"chernrep.{layer}" for layer in ("cli", "parsing", "reps", "char_ring", "graded",
+                                                "invariants", "weyl", "filtration_check")}
+    assert traced <= set(layers) and traced <= set(wrapped)
+    assert methods == ["invariant_subspace", "multiply", "reduce"]
+    assert {"parsing.parse_group", "graded.total_chern"} <= set(spans)
     loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std")
     assert proc.stdout == "1 + x1 + x2 + x1*x2\n"
     assert "json" not in loaded - bare
     loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std", "--json")
     assert json.loads(proc.stdout)["basis"] == "monomials"
     assert "json" in loaded | bare
+
+
+_LOAD_PROBE = """
+import io, json, sys, types
+import chernrep.cli
+code = chernrep.cli.run(sys.argv[1:], io.StringIO(), io.StringIO())
+ran = sorted(n.split(".")[1] for n, m in sys.modules.items()
+       if n.startswith("chernrep.") and type(m) is types.ModuleType)
+print(json.dumps([code, ran, "fractions" in sys.modules]))
+"""
+
+
+def test_each_subcommand_runs_only_the_layers_it_reaches():
+    """A layer that has not run is still a lazy module in sys.modules; -X
+    importtime does not list the layers that a lazy module runs."""
+    common = {"cli", "errors", "parsing", "weyl", "char_ring"}
+    reps = common | {"reps"}
+    cases = [
+        (["lambda", "-p", "2", "GL3", "std"], reps, False),
+        (["adams", "-k", "2", "GL3", "std"], reps, False),
+        (["chern", "GL2", "std"], reps | {"graded"}, True),
+        (["ch", "GL2", "std"], reps | {"graded"}, True),
+        (["rewrite", "GL2", "x1*x2"], reps | {"graded", "invariants"}, True),
+        (["chern", "Sp4", "std", "--basis", "generators"], reps | {"graded", "invariants"}, True),
+        (["check-prop", "GL2", "--p-max", "2", "--degree", "2"],
+         common | {"graded", "filtration_check"}, True),
+    ]
+    for argv, layers, fractions in cases:
+        assert _child(_LOAD_PROBE, *argv) == [0, sorted(layers), fractions], argv
+
+
+_THREAD_PROBE = """
+import json, sys, threading
+sys.setswitchinterval(1e-6)
+from chernrep import parse_group, parse_polynomial, parse_rep, rep_to_character
+import chernrep
+gl2 = parse_group("GL2")
+calls = [
+    lambda: str(parse_polynomial("x1^2 + 1/2*x2", 2)),
+    lambda: str(rep_to_character(parse_rep("ext(2,std)", gl2), gl2)),
+    lambda: str(chernrep.total_chern(rep_to_character(parse_rep("std", gl2), gl2), 2)),
+    lambda: str(chernrep.rewrite(parse_polynomial("x1*x2", 2), gl2)),
+    lambda: chernrep.verify_prop(gl2, 1, 2).passed,
+] * 2
+barrier = threading.Barrier(len(calls))
+results = [None] * len(calls)
+def run(i):
+    barrier.wait()
+    try:
+        results[i] = calls[i]()
+    except Exception as exc:
+        results[i] = repr(exc)
+threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(json.dumps(results))
+"""
+
+
+def test_threads_that_first_reach_a_layer_at_once_see_it_whole():
+    """Threads released together onto layers that have not run yet: each
+    layer runs once, and every thread waits for it to finish."""
+    expected = ["1/2*x2 + x1^2", "[1,1]", "1 + x1 + x2 + x1*x2", "I2", True] * 2
+    for _ in range(3):
+        assert _child(_THREAD_PROBE) == expected
 
 
 def test_json_outputs_are_deterministic():

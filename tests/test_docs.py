@@ -1,7 +1,8 @@
 """README.md and the package's public names kept in step with the code."""
 
-import ast
 import contextlib
+import importlib
+import inspect
 import io
 import re
 import shlex
@@ -58,14 +59,20 @@ def test_cli_examples_are_found():
 
 
 def test_all_names_the_public_imports_of_init():
-    tree = ast.parse(Path(chernrep.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    }
-    assert sorted(chernrep.__all__) == sorted(set(chernrep.__all__)) == sorted(imported)
-    for name in chernrep.__all__:
-        assert getattr(chernrep, name) is not None
+    """__all__ is the name table of __init__, and each name is defined in
+    the layer the table gives for it."""
+    table = chernrep._LAYER_OF
+    assert chernrep.__all__ == sorted(set(chernrep.__all__)) == sorted(table)
+    for name, layer in table.items():
+        module = importlib.import_module(f"chernrep.{layer}")
+        value = vars(module)[name]
+        assert getattr(chernrep, name) is value
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_dir_lists_the_public_names():
+    listed = dir(chernrep)
+    assert set(chernrep.__all__) <= set(listed)
+    assert {"__all__", "graded"} <= set(listed)
+    assert listed == sorted(listed)
