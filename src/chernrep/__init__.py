@@ -19,8 +19,8 @@ _PUBLIC = {
     ),
     "errors": ("ChernRepError",),
     "filtration_check": (
-        "PropReport", "Subspace", "TruncatedAlgebra",
-        "gamma_subspace_ambient_cap_invariant", "gamma_subspace_invariant", "verify_prop",
+        "PropReport", "Subspace", "TruncatedAlgebra", "gamma_subspace_invariant",
+        "verify_prop",
     ),
     "graded": (
         "BEYOND_CAP", "SymbolicPolynomial", "filtration_degree", "leading_class",

@@ -18,7 +18,9 @@ Inside the model two subspaces are built per degree p and compared:
     so gamma^a(z) is the elementary symmetric function e_a of the images
     u_b of [b] - [0].  A product of two or more factors splits into two of
     weights a <= p/2 and p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so
-    the span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only;
+    the span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only, and
+    Gamma^0..Gamma^p_max come from one forward pass: gamma^1..gamma^top of
+    each sum at once, then each Gamma^p from the pieces below it;
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
     cut down to the invariants).  The invariants of the model are the span
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from .char_ring import VirtualCharacter, _code
-from .errors import ReductionDefectError, model_dimension
+from .errors import RankMismatchError, ReductionDefectError, model_dimension
 from .graded import _binomial_power, _form, _product
 from .weyl import _Record, dominant_weights, invariant_degrees, orbit
 
@@ -170,7 +172,7 @@ class TruncatedAlgebra:
         (1 + u_i)^(a_i) truncated, with integer binomial coefficients, taken
         on monomial codes over the nonzero coordinates of a only."""
         if x.rank != self.rank:
-            raise ValueError("character rank does not match the model")
+            raise RankMismatchError("character rank does not match the model")
         vec = self.zero()
         index, cut, powers = self.index, self._cut, self._powers
         for w, mult in x.terms.items():
@@ -300,71 +302,37 @@ def _independent_orbit_sums(model):
     return kept, images
 
 
-class _PropContext:
-    """Shared state for the per-degree subspace computations, which read
-    gamma spans of degree at most top (p = 0 reads degree 1), over the
-    orbit sums that the model's scan of [-d, d]^n keeps."""
-
-    def __init__(self, g, d, top=None):
-        self.model = TruncatedAlgebra(g, d)
-        self.model.invariant_subspace()
-        self.generators = self.model.orbit_sums
-        self.top = d if top is None else min(max(top, 1), d)
-        self._gamma_spans = None
-        self._product_spans = {}
-
-    def gamma_span(self, a):
-        """span{gamma^a(z) : z an orbit-sum generator}, for a <= top.  All
-        degrees through top are built in one pass over the generators;
-        beyond d every gamma^a(z) lies in r^(d+1) and vanishes."""
-        model = self.model
-        if a > model.d:
-            return Subspace(model.dim)
-        if self._gamma_spans is None:
-            spans = [Subspace(model.dim) for _ in range(self.top + 1)]
-            for z in self.generators:
-                for span, value in zip(spans[1:], model.gammas(z, self.top)[1:]):
-                    span._insert(value)
-            self._gamma_spans = spans
-        return self._gamma_spans[a]
-
-    def product_span(self, p):
-        """The image of Gamma^p(S): products of gamma operations of total
-        weight p applied to orbit-sum generators.  Every product of two or
-        more factors splits into factors of weights a <= p/2 and p - a, so
-        gamma^p and the products of the rows of Gamma^a and Gamma^(p-a),
-        a <= p/2, span it; at 2a = p the pairs i <= j of rows suffice."""
-        if p == 0:
-            raise ValueError("product spans start at p = 1")
-        if p not in self._product_spans:
-            model = self.model
-            span = Subspace.from_vectors(model.dim, self.gamma_span(p).rows)
-            for a in range(1, p // 2 + 1):
-                right = [model._support(v) for v in self.product_span(p - a).rows]
-                for i, u in enumerate(self.product_span(a).rows):
-                    for v in right[i if 2 * a == p else 0 :]:
-                        span._insert(model._times(u, v))
-            self._product_spans[p] = span
-        return self._product_spans[p]
-
-    def gamma_subspace(self, p):
-        if p == 0:
-            return Subspace.from_vectors(
-                self.model.dim, [self.model.unit(), *self.product_span(1).rows]
-            )
-        return self.product_span(p)
+def _gamma_filtration(model, sums, p_max):
+    """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the orbit sums
+    `sums`, in one forward pass.  Each sum gives gamma^1..gamma^top at once
+    (top = min(max(p_max, 1), d); beyond d every gamma^a vanishes).  Every
+    product of two or more factors splits into factors of weights a <= p/2
+    and p - a, so Gamma^p is spanned by gamma^p and the products of the rows
+    of Gamma^a and Gamma^(p-a), a <= p/2, both built before it; at 2a = p
+    the pairs i <= j of rows suffice.  Gamma^0 is the unit with Gamma^1."""
+    top = min(max(p_max, 1), model.d)
+    spans = [Subspace(model.dim) for _ in range(max(p_max, 1) + 1)]
+    for z in sums:
+        for span, value in zip(spans[1:], model.gammas(z, top)[1:]):
+            span._insert(value)
+    for p in range(2, len(spans)):
+        for a in range(1, p // 2 + 1):
+            right = [model._support(v) for v in spans[p - a].rows]
+            for i, u in enumerate(spans[a].rows):
+                for v in right[i if 2 * a == p else 0 :]:
+                    spans[p]._insert(model._times(u, v))
+    spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
+    return spans[: p_max + 1]
 
 
 def gamma_subspace_invariant(g, p, d):
     """Image in the truncated model of the degree-p piece of the gamma
     filtration of the invariant subring."""
-    return _PropContext(g, d, top=p).gamma_subspace(p)
-
-
-def gamma_subspace_ambient_cap_invariant(g, p, d):
-    """Image of (ambient filtration degree p) intersected with the
-    invariants: W-invariant vectors supported in basis degrees >= p."""
-    return TruncatedAlgebra(g, d).invariant_subspace(p)
+    if p < 0:
+        raise ValueError("filtration degree p must be >= 0")
+    model = TruncatedAlgebra(g, d)
+    model.invariant_subspace()  # the scan that keeps model.orbit_sums
+    return _gamma_filtration(model, model.orbit_sums, p)[p]
 
 
 class PropEntry(_Record):
@@ -397,11 +365,13 @@ def verify_prop(g, p_max, d):
     with the restricted ambient one.  The inclusion of the former in the
     latter must hold outright; equality failures are reported with the
     offending ambient basis vectors."""
-    ctx = _PropContext(g, d, top=p_max)
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
+    model = TruncatedAlgebra(g, d)
+    model.invariant_subspace()  # the scan that keeps model.orbit_sums
     entries = []
-    for p in range(p_max + 1):
-        s_side = ctx.gamma_subspace(p)
-        ambient = ctx.model.invariant_subspace(p)
+    for p, s_side in enumerate(_gamma_filtration(model, model.orbit_sums, p_max)):
+        ambient = model.invariant_subspace(p)
         if not ambient.contains_subspace(s_side):
             raise ReductionDefectError(
                 f"Gamma^{p}(S) not inside Gamma^{p}(R) cap S at degree {d}: "

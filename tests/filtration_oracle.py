@@ -10,7 +10,7 @@ from them take an independent route to the same subspaces.
 import itertools
 
 from chernrep.char_ring import VirtualCharacter
-from chernrep.filtration_check import _PropContext
+from chernrep.filtration_check import TruncatedAlgebra, _gamma_filtration
 from chernrep.weyl import orbit
 
 
@@ -33,9 +33,9 @@ def orbit_sum_generators(g, bound):
 
 
 def full_box_context(g, d, bound=None, top=None):
-    """The full-box route: gamma spans of the degree-d model over one orbit
-    sum per Weyl orbit in the whole box [-bound, bound]^n (bound = d by
-    default)."""
-    ctx = _PropContext(g, d, top)
-    ctx.generators = orbit_sum_generators(g, d if bound is None else bound)
-    return ctx
+    """The full-box route: [Gamma^0, ..., Gamma^top] (top = d by default) of
+    the degree-d model over one orbit sum per Weyl orbit in the whole box
+    [-bound, bound]^n (bound = d by default)."""
+    model = TruncatedAlgebra(g, d)
+    gens = orbit_sum_generators(g, d if bound is None else bound)
+    return _gamma_filtration(model, gens, d if top is None else top)

@@ -221,7 +221,7 @@ def test_criterion_7_filtration_comparison():
         assert report.passed, report.to_json_obj()
         for p in range(p_max + 1):
             full = full_box_context(g, d, d + 1, top=p)
-            assert gamma_subspace_invariant(g, p, d) == full.gamma_subspace(p)
+            assert gamma_subspace_invariant(g, p, d) == full[p]
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(f"criterion 7 (filtration comparison + stability, {elapsed:.2f}s): PASS")

@@ -11,15 +11,14 @@ import pytest
 from chernrep.char_ring import VirtualCharacter, gamma_series
 from chernrep.cli import run
 from chernrep import filtration_check
-from chernrep.errors import ModelSizeError, ReductionDefectError
+from chernrep.errors import ModelSizeError, RankMismatchError, ReductionDefectError
 from chernrep.filtration_check import (
     PropEntry,
     PropReport,
     Subspace,
     TruncatedAlgebra,
+    _gamma_filtration,
     _invariant_count,
-    _PropContext,
-    gamma_subspace_ambient_cap_invariant,
     gamma_subspace_invariant,
     verify_prop,
 )
@@ -40,6 +39,14 @@ rng = random.Random(31337)
 
 def V(rank, terms):
     return VirtualCharacter(rank, terms)
+
+
+def kept_filtration(g, d):
+    """The model of degree d and [Gamma^0, ..., Gamma^d] over the orbit sums
+    its scan keeps."""
+    model = TruncatedAlgebra(g, d)
+    model.invariant_subspace()
+    return model, _gamma_filtration(model, model.orbit_sums, d)
 
 
 def test_model_dimensions():
@@ -128,24 +135,20 @@ def test_gamma_subspace_torus_rank1():
 def test_gamma_subspace_p0_is_invariant_subspace():
     g = GroupSpec(GL, 2)
     sub = gamma_subspace_invariant(g, 0, 3)
-    inv = gamma_subspace_ambient_cap_invariant(g, 0, 3)
+    inv = TruncatedAlgebra(g, 3).invariant_subspace(0)
     assert sub == inv
     assert inv == TruncatedAlgebra(g, 3).invariant_subspace()
 
 
 def test_ambient_cap_beyond_truncation_is_zero():
     g = GroupSpec(GL, 2)
-    sub = gamma_subspace_ambient_cap_invariant(g, 4, 3)
+    sub = TruncatedAlgebra(g, 3).invariant_subspace(4)
     assert sub.dim == 0
 
 
 def test_small_truncation_equalities():
-    assert gamma_subspace_invariant(
-        GroupSpec(GL, 2), 2, 3
-    ) == gamma_subspace_ambient_cap_invariant(GroupSpec(GL, 2), 2, 3)
-    assert gamma_subspace_invariant(
-        GroupSpec(SP, 2), 2, 4
-    ) == gamma_subspace_ambient_cap_invariant(GroupSpec(SP, 2), 2, 4)
+    for g, d in [(GroupSpec(GL, 2), 3), (GroupSpec(SP, 2), 4)]:
+        assert gamma_subspace_invariant(g, 2, d) == TruncatedAlgebra(g, d).invariant_subspace(2)
 
 
 def test_filtration_nesting():
@@ -155,8 +158,8 @@ def test_filtration_nesting():
             outer_s = gamma_subspace_invariant(g, p, d)
             inner_s = gamma_subspace_invariant(g, p + 1, d)
             assert outer_s.contains_subspace(inner_s)
-            outer_a = gamma_subspace_ambient_cap_invariant(g, p, d)
-            inner_a = gamma_subspace_ambient_cap_invariant(g, p + 1, d)
+            outer_a = TruncatedAlgebra(g, d).invariant_subspace(p)
+            inner_a = TruncatedAlgebra(g, d).invariant_subspace(p + 1)
             assert outer_a.contains_subspace(inner_a)
 
 
@@ -171,6 +174,21 @@ def test_filtration_multiplicativity():
             for u in subs[p].rows:
                 for v in subs[q].rows:
                     assert target.contains(model.multiply(u, v))
+
+
+def test_negative_filtration_degree_is_refused():
+    """Refused before any work: the model below is past the size guard."""
+    g = GroupSpec(TORUS, 10)
+    with pytest.raises(ValueError):
+        verify_prop(g, -1, 10)
+    with pytest.raises(ValueError):
+        gamma_subspace_invariant(g, -1, 10)
+
+
+def test_reduce_refuses_a_character_of_another_rank():
+    model = TruncatedAlgebra(GroupSpec(GL, 2), 2)
+    with pytest.raises(RankMismatchError):
+        model.reduce(V(3, {(1, 0, 0): 1}))
 
 
 def test_verify_prop_torus():
@@ -208,7 +226,7 @@ def test_generator_bound_stability_small():
     g = GroupSpec(GL, 2)
     for p in range(4):
         full = full_box_context(g, 3, 4, top=p)
-        assert gamma_subspace_invariant(g, p, 3) == full.gamma_subspace(p)
+        assert gamma_subspace_invariant(g, p, 3) == full[p]
 
 
 def test_orbit_sum_generators_one_per_orbit():
@@ -342,20 +360,27 @@ def test_verify_prop_rank_three_and_four_at_degree_four():
     assert time.monotonic() - start < 60.0
 
 
-def test_gamma_spans_stop_at_p_max():
+def test_gamma_spans_stop_at_p_max(monkeypatch):
     """Spans built only through p_max equal those of a full degree-d build,
-    and no gamma span above p_max is built."""
+    and no gamma operation above max(p_max, 1) is built."""
     d = 4
+    gammas, tops = TruncatedAlgebra.gammas, []
+
+    def recorded(self, z, top=None):
+        tops.append(top)
+        return gammas(self, z, top)
+
+    monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded)
     for family in (GL, SP, SO_EVEN):
         g = GroupSpec(family, 2)
-        full = _PropContext(g, d)
-        for z in full.generators:
-            assert full.model.gammas(z, 2) == full.model.gammas(z)[:3]
+        model, full = kept_filtration(g, d)
+        for z in model.orbit_sums:
+            assert model.gammas(z, 2) == model.gammas(z)[:3]
         for p_max in range(d + 1):
-            ctx = _PropContext(g, d, top=p_max)
-            for p in range(p_max + 1):
-                assert ctx.gamma_subspace(p) == full.gamma_subspace(p)
-            assert len(ctx._gamma_spans) == max(p_max, 1) + 1
+            tops.clear()
+            spans = _gamma_filtration(model, model.orbit_sums, p_max)
+            assert spans == full[: p_max + 1]
+            assert tops == [min(max(p_max, 1), d)] * len(model.orbit_sums)
             entries = verify_prop(g, p_max, d).entries
             assert entries == verify_prop(g, d, d).entries[: p_max + 1]
 
@@ -453,13 +478,13 @@ def test_witness_is_rational_reduced_row(monkeypatch):
     """A forced DIFFER: the S side loses the last row of its canonical form,
     so an ambient row becomes a witness, printed as the rational row with
     pivot 1."""
-    full_span = _PropContext.gamma_subspace
+    full_spans = _gamma_filtration
 
-    def smaller(self, p):
-        full = full_span(self, p)
-        return Subspace.from_vectors(full.ambient_dim, full.rows[:-1])
+    def smaller(model, sums, p_max):
+        spans = full_spans(model, sums, p_max)
+        return [Subspace.from_vectors(s.ambient_dim, s.rows[:-1]) for s in spans]
 
-    monkeypatch.setattr(_PropContext, "gamma_subspace", smaller)
+    monkeypatch.setattr(filtration_check, "_gamma_filtration", smaller)
     g = GroupSpec(SO_EVEN, 2)
     report = verify_prop(g, 1, 3)
     half = Fraction(-1, 2)
@@ -488,21 +513,20 @@ def test_kept_generators_span_like_the_full_box():
     for family, rank in ORACLE_GROUPS:
         g = GroupSpec(family, rank)
         for d in range(1, 5):
-            kept, full = _PropContext(g, d), full_box_context(g, d)
+            kept, full = kept_filtration(g, d)[1], full_box_context(g, d)
             for p in range(d + 1):
-                assert kept.gamma_subspace(p) == full.gamma_subspace(p), (g, d, p)
+                assert kept[p] == full[p], (g, d, p)
 
 
 def test_kept_generators_are_independent_and_at_most_the_invariants():
     for family, rank in ORACLE_GROUPS + [(TORUS, 2)]:
         g = GroupSpec(family, rank)
         for d in range(1, 5):
-            ctx = _PropContext(g, d)
-            model = ctx.model
+            model = TruncatedAlgebra(g, d)
             target = model.invariant_subspace(1).dim
-            images = [model.reduce(z) for z in ctx.generators]
+            images = [model.reduce(z) for z in model.orbit_sums]
             assert Subspace.from_vectors(model.dim, images).dim == len(images)
-            assert len(ctx.generators) == target
+            assert len(model.orbit_sums) == target
 
 
 def test_check_prop_gl4_degree_five_matches_the_full_box_route():
@@ -541,9 +565,9 @@ def test_kept_spans_equal_full_box_spans_on_random_boxes():
         if family == TORUS:
             rank = min(rank, 2)
         g = GroupSpec(family, rank)
-        kept, full = _PropContext(g, d), full_box_context(g, d, d + extra)
+        kept, full = kept_filtration(g, d)[1], full_box_context(g, d, d + extra)
         for p in range(d + 1):
-            assert kept.gamma_subspace(p) == full.gamma_subspace(p)
+            assert kept[p] == full[p]
 
     check()
 
@@ -603,16 +627,15 @@ def test_check_prop_gl10_degree_four_keeps_its_output():
     )
 
 
-def product_span_by_all_splits(ctx, p, spans):
+def product_span_by_all_splits(model, gamma_spans, p, spans):
     """Gamma^p as gamma^p plus gamma^a Gamma^(p-a) for every a in 1..p-1,
-    which forms most products more than once: the oracle for
-    `_PropContext.product_span`."""
+    which forms most products more than once: the oracle for the products
+    of `_gamma_filtration`."""
     if p not in spans:
-        model = ctx.model
-        span = Subspace.from_vectors(model.dim, ctx.gamma_span(p).rows)
+        span = Subspace.from_vectors(model.dim, gamma_spans[p].rows)
         for a in range(1, p):
-            right = product_span_by_all_splits(ctx, p - a, spans).rows
-            for u in ctx.gamma_span(a).rows:
+            right = product_span_by_all_splits(model, gamma_spans, p - a, spans).rows
+            for u in gamma_spans[a].rows:
                 for v in right:
                     span._insert(model.multiply(u, v))
         spans[p] = span
@@ -622,26 +645,33 @@ def product_span_by_all_splits(ctx, p, spans):
 def test_product_spans_from_lower_pieces_match_all_splits():
     cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
     for g, d in cases + [(GroupSpec(GL, 3), 5)]:
-        ctx, spans = _PropContext(g, d), {}
+        model, filtration = kept_filtration(g, d)
+        values = [model.gammas(z) for z in model.orbit_sums]
+        gamma_spans = [
+            Subspace.from_vectors(model.dim, [es[a] for es in values])
+            for a in range(d + 1)
+        ]
+        spans = {}
         for p in range(1, d + 1):
-            oracle = product_span_by_all_splits(ctx, p, spans)
-            assert oracle.rows == ctx.product_span(p).rows, (g, d, p)
+            oracle = product_span_by_all_splits(model, gamma_spans, p, spans)
+            assert oracle.rows == filtration[p].rows, (g, d, p)
 
 
 def test_product_spans_form_each_product_once(monkeypatch):
     """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
-    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260."""
-    ctx = _PropContext(GroupSpec(GL, 3), 4, top=4)
-    ctx.gamma_span(1)
+    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
+    The products are the `_times` calls without `out`; the gamma
+    recurrence adds into its own vectors."""
+    model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
+    model.invariant_subspace()
     times, count = TruncatedAlgebra._times, [0]
 
     def counted(self, u, support_v, out=None):
-        count[0] += 1
+        count[0] += out is None
         return times(self, u, support_v, out)
 
     monkeypatch.setattr(TruncatedAlgebra, "_times", counted)
-    for p in range(1, 5):
-        ctx.product_span(p)
+    _gamma_filtration(model, model.orbit_sums, 4)
     assert 0 < count[0] <= 260
 
 
@@ -650,10 +680,15 @@ def test_product_spans_form_each_product_once(monkeypatch):
     [
         ("GL3", "8", "0d47261c3139876563a7170d06424e8d"),
         ("GL5", "6", "307be4f9d188aa6768e7af7c993185b9"),
+        ("Sp10", "5", "fe03367025bba47c3e9d237c4958cb27"),
+        ("SO10", "5", "afaf589ee361a641bb8046c3dc7161b4"),
+        ("SO9", "4", "224bc13c992e46ace2dd5136f12b84c8"),
     ],
 )
 def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
-    """Stdout md5 recorded when every split a + (p - a) was taken."""
+    """Stdout md5: GL3 and GL5 recorded when every split a + (p - a) was
+    taken, and the Sp, SO cases of rank 4 and 5 when each Gamma^p was built
+    on first request."""
     start = time.monotonic()
     out, err = io.StringIO(), io.StringIO()
     argv = ["check-prop", group, "--p-max", degree, "--degree", degree]
