@@ -31,11 +31,11 @@ _PUBLIC = {
         "rewrite", "symmetrize",
     ),
     "parsing": (
-        "parse_character", "parse_generator_expression", "parse_group",
-        "parse_polynomial", "parse_rep", "rep_to_character",
+        "parse_character", "parse_generator_expression", "parse_polynomial",
+        "parse_rep", "rep_to_character",
     ),
     "reps": ("assert_g_rep", "dual", "exterior", "standard", "symmetric"),
-    "weyl": ("GroupSpec", "SignedPermutation", "orbit", "weyl_generators"),
+    "weyl": ("GroupSpec", "SignedPermutation", "orbit", "parse_group", "weyl_generators"),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_LAYER_OF)

@@ -9,6 +9,12 @@ series, which builds every exterior and symmetric power, is computed in one
 pass over the weights on integer-coded weights (see `lambda_series`), not
 by multiplying whole series.
 
+The same integer codes carry the truncated polynomials of `graded`,
+`invariants` and the filtration model: x^e of degree k has the monomial
+code `_code((k, e_1, ..., e_n), base)`.  In base d + 1 the codes of a
+product add without carry, code order is graded lex order, and degree <= d
+is code < (d + 1)^(n + 1).
+
 Everything here is exact integer arithmetic; no floats anywhere.
 """
 
@@ -47,6 +53,43 @@ def _decode(code, rank, base):
         code //= base
     vec.reverse()
     return tuple(vec)
+
+
+def _form(coords, base):
+    """Coded integer terms of the linear form La = sum a_i x_i of a weight a."""
+    n = len(coords)
+    return {
+        _code((1, *(int(j == i) for j in range(n))), base): a
+        for i, a in enumerate(coords)
+        if a
+    }
+
+
+def _product(f, g, cut):
+    """Product of two coded polynomials, keeping the codes below cut.  The
+    codes of g are walked in increasing order, so each walk stops at the
+    first product past the cut."""
+    out = {}
+    g = sorted(g.items())
+    for a, x in f.items():
+        for b, y in g:
+            c = a + b
+            if c >= cut:
+                break
+            out[c] = out.get(c, 0) + x * y
+    return out
+
+
+def _binomial_power(form, m, d, cut):
+    """(1 + l)^m through degree d for a coded linear form l, with codes
+    below cut: the terms C(m, k) l^k for k <= d, which stop at k = m when
+    m >= 0 and are the truncated inverse power when m < 0."""
+    out, power = {0: 1}, {0: 1}
+    for k in range(1, (d if m < 0 else min(m, d)) + 1):
+        power = _product(power, form, cut)
+        c = binomial(m, k)
+        out.update((code, c * v) for code, v in power.items())
+    return out
 
 
 def _signed_sum(parts):

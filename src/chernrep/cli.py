@@ -9,10 +9,10 @@ are written to stderr as ``error[<code>]: message``.
 import argparse
 import sys
 
-# Every subcommand runs errors, parsing, weyl and char_ring; the other
-# layers are lazy modules (see __init__) and run only where a subcommand
-# looks a function up on them.
-from . import filtration_check, graded, invariants, reps
+# Every subcommand runs errors, weyl and char_ring; the other layers are
+# lazy modules (see __init__) and run only where a subcommand looks a
+# function up on them.
+from . import filtration_check, graded, invariants, parsing, reps
 from .char_ring import adams as adams_op
 from .char_ring import augmentation
 from .errors import (
@@ -21,13 +21,7 @@ from .errors import (
     NoCanonicalGeneratorsError,
     ParseError,
 )
-from .parsing import (
-    parse_group,
-    parse_polynomial,
-    parse_rep,
-    rep_to_character,
-)
-from .weyl import TORUS
+from .weyl import TORUS, parse_group
 
 
 class UsageError(ChernRepError):
@@ -102,8 +96,8 @@ def _emit_json(obj, out):
 
 
 def _character_for(args, g):
-    node = parse_rep(args.rep, g)
-    return rep_to_character(node, g)
+    node = parsing.parse_rep(args.rep, g)
+    return parsing.rep_to_character(node, g)
 
 
 def _degree_for(args, x):
@@ -222,7 +216,7 @@ def _cmd_check_prop(args, out, err):
 
 def _cmd_rewrite(args, out, err):
     g = parse_group(args.group)
-    f = parse_polynomial(args.polynomial, g.rank)
+    f = parsing.parse_polynomial(args.polynomial, g.rank)
     expr = invariants.rewrite(f, g)
     if args.json:
         _emit_json(

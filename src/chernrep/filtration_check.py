@@ -16,11 +16,14 @@ Inside the model two subspaces are built per degree p and compared:
     gamma^a(x) modulo r^(d+1) depends only on the image of x.  The gamma
     operations never leave the model: gamma_t([b] - 1) = 1 + ([b] - 1)t,
     so gamma^a(z) is the elementary symmetric function e_a of the images
-    u_b of [b] - [0].  A product of two or more factors splits into two of
-    weights a <= p/2 and p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so
-    the span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only, and
-    Gamma^0..Gamma^p_max come from one forward pass: gamma^1..gamma^top of
-    each sum at once, then each Gamma^p from the pieces below it;
+    u_b of [b] - [0].  The scan below reduces each weight b once, and the
+    images of the weights of the sums it keeps are the u_b that `gammas`
+    reads.  A product of two or more factors splits into two of weights
+    a <= p/2 and p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so the
+    span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only, and
+    Gamma^0..Gamma^d come from one forward pass: gamma^1..gamma^top of each
+    sum at once, then each Gamma^p from the pieces below it.  Gamma^p lies
+    in r^p, so for p > d it is zero in the model and no product is formed;
   * the W-invariant vectors supported on basis monomials of degree >= p
     (the reduction of r^p, which is the ambient filtration for a split ring,
     cut down to the invariants).  The invariants of the model are the span
@@ -34,12 +37,10 @@ integer rows and positive pivots, which is canonical, so subspace equality
 is literal equality.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .char_ring import VirtualCharacter, _code
+from .char_ring import VirtualCharacter, _binomial_power, _code, _form, _product
 from .errors import RankMismatchError, ReductionDefectError, model_dimension
-from .graded import _binomial_power, _form, _product
 from .weyl import _Record, dominant_weights, invariant_degrees, orbit
 
 
@@ -156,8 +157,7 @@ class TruncatedAlgebra:
         self.index = {c: j for j, c in enumerate(self.codes)}
         self._cut = (d + 1) ** (n + 1)
         self._powers = {}  # (i, a) -> coded (1 + u_i)^a through degree d
-        self._invariants = None  # the W-invariant subspace, built on first use
-        self.orbit_sums = None  # the orbit sums its scan keeps
+        self._scanned = None  # (kept orbit sums, invariants), built on first use
 
     def zero(self):
         return [0] * self.dim
@@ -167,10 +167,13 @@ class TruncatedAlgebra:
         vec[0] = 1
         return vec
 
-    def reduce(self, x):
+    def reduce(self, x, images=None):
         """Image of a virtual character: [a] expands as the product of
         (1 + u_i)^(a_i) truncated, with integer binomial coefficients, taken
-        on monomial codes over the nonzero coordinates of a only."""
+        on monomial codes over the nonzero coordinates of a only.  With a
+        list `images`, the coded image of [a] (monomial code -> coefficient,
+        the constant 1 at code 0) of each nonzero weight a of x is appended
+        to it, in the order of x.terms."""
         if x.rank != self.rank:
             raise RankMismatchError("character rank does not match the model")
         vec = self.zero()
@@ -185,6 +188,8 @@ class TruncatedAlgebra:
                     u = _form([int(j == i) for j in range(self.rank)], self.d + 1)
                     power = powers[i, a] = _binomial_power(u, a, self.d, cut)
                 terms = power if terms is None else _product(terms, power, cut)
+            if images is not None and terms is not None:
+                images.append(terms)
             for code, c in (terms or {0: 1}).items():
                 vec[index[code]] += mult * c
         return vec
@@ -220,26 +225,28 @@ class TruncatedAlgebra:
                 out[index[code + c]] += a * b
         return out
 
-    def gammas(self, z, top=None):
+    def gammas(self, images, top=None):
         """gamma^0..gamma^top (top = d by default) of an orbit sum
-        z = sum_b ([b] - [0]) in the model.  Since
+        z = sum_b ([b] - [0]) in the model, given by the coded images of
+        its weights b that `reduce` appends.  Since
         gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the elementary
         symmetric function e_a of the images u_b of [b] - [0], built by the
-        recurrence e_j += e_(j-1) u_b, one weight at a time, in place."""
+        recurrence e_j += e_(j-1) u_b, one weight at a time, in place.  The
+        image of [b] less its constant 1 at code 0 is u_b, whose support
+        in basis order is its codes sorted."""
         top = self.d if top is None else min(top, self.d)
-        zero = (0,) * self.rank
         es = [self.unit()] + [self.zero() for _ in range(top)]
-        seen = 0
-        for b, mult in z.terms.items():
-            if b == zero:
-                continue
-            if mult != 1:
-                raise ValueError("gammas needs an orbit sum of distinct weights")
-            u = self.reduce(VirtualCharacter(self.rank, {b: 1, zero: -1}))
-            u, seen = self._support(u), seen + 1
+        for seen, image in enumerate(images, 1):
+            u = sorted(image.items())[1:]
             for j in range(min(seen, top), 0, -1):
                 self._times(es[j - 1], u, es[j])
         return es
+
+    def orbit_sums(self):
+        """The orbit sums that one scan of the box [-d, d]^n keeps, each as
+        the list of the coded images of its nonzero weights (the input of
+        `gammas`).  The scan runs once per model."""
+        return self._scan()[0]
 
     def invariant_subspace(self, p=0):
         """W-invariant vectors supported on basis monomials of degree >= p.
@@ -249,21 +256,28 @@ class TruncatedAlgebra:
         row of the canonical form is zero in the other pivot columns, the
         invariants vanishing before the suffix are spanned by the rows that
         pivot inside it."""
-        if self._invariants is None:
-            self.orbit_sums, images = _independent_orbit_sums(self)
+        invariants = self._scan()[1]
+        start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
+        suffix = Subspace(self.dim)
+        suffix._rows.update(
+            (piv, row) for piv, row in invariants._rows.items() if piv >= start
+        )
+        return suffix
+
+    def _scan(self):
+        """(the kept orbit sums, the W-invariant subspace), from one scan
+        per model; a scan that ends short of the invariant count is a
+        defect."""
+        if self._scanned is None:
+            sums, images = _independent_orbit_sums(self)
             if images.dim + 1 < _invariant_count(self.group, self.d):
                 raise ReductionDefectError(
                     f"the orbit sums of {self.group} span fewer than its "
                     f"invariants of degree <= {self.d}: wrong degree table"
                 )
             images._insert(self.unit())
-            self._invariants = images
-        start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
-        suffix = Subspace(self.dim)
-        suffix._rows.update(
-            (piv, row) for piv, row in self._invariants._rows.items() if piv >= start
-        )
-        return suffix
+            self._scanned = sums, images
+        return self._scanned
 
 
 def _invariant_count(g, d):
@@ -280,7 +294,9 @@ def _invariant_count(g, d):
 def _independent_orbit_sums(model):
     """Orbit sums z = sum_b ([b] - [0]) of the dominant weights in
     [-d, d]^n, by increasing |a|_1, each kept when its model image raises
-    the rank, with the span of the kept images.  The images lie in the
+    the rank, with the span of the kept images.  A kept sum is the list of
+    the images of its weights that `reduce` built for its own image; those
+    of the other sums are dropped.  The images lie in the
     augmentation-zero invariants, so the scan stops at their dimension,
     the invariant count less one.  The kept images span those of every
     orbit sum in the box, so gamma monomials over the kept sums span the
@@ -295,33 +311,37 @@ def _independent_orbit_sums(model):
             break
         orb = orbit(g, a)
         z = VirtualCharacter(n, {**dict.fromkeys(orb, 1), zero: -len(orb)})
-        rank = images.dim
-        images._insert(model.reduce(z))
+        rank, weights = images.dim, []
+        images._insert(model.reduce(z, weights))
         if images.dim > rank:
-            kept.append(z)
+            kept.append(weights)
     return kept, images
 
 
 def _gamma_filtration(model, sums, p_max):
     """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the orbit sums
-    `sums`, in one forward pass.  Each sum gives gamma^1..gamma^top at once
-    (top = min(max(p_max, 1), d); beyond d every gamma^a vanishes).  Every
-    product of two or more factors splits into factors of weights a <= p/2
-    and p - a, so Gamma^p is spanned by gamma^p and the products of the rows
-    of Gamma^a and Gamma^(p-a), a <= p/2, both built before it; at 2a = p
-    the pairs i <= j of rows suffice.  Gamma^0 is the unit with Gamma^1."""
+    `sums` (each as the images of its weights, see `gammas`), in one
+    forward pass.  Each sum gives gamma^1..gamma^top at once
+    (top = min(max(p_max, 1), d)).  Every product of two or more factors
+    splits into factors of weights a <= p/2 and p - a, so Gamma^p is
+    spanned by gamma^p and the products of the rows of Gamma^a and
+    Gamma^(p-a), a <= p/2, both built before it; at 2a = p the pairs i <= j
+    of rows suffice.  Gamma^0 is the unit with Gamma^1.  Past d, Gamma^p
+    lies in r^p, which is zero in the model: those spans are the zero
+    subspace, and no product is formed for them."""
     top = min(max(p_max, 1), model.d)
-    spans = [Subspace(model.dim) for _ in range(max(p_max, 1) + 1)]
-    for z in sums:
-        for span, value in zip(spans[1:], model.gammas(z, top)[1:]):
+    spans = [Subspace(model.dim) for _ in range(top + 1)]
+    for images in sums:
+        for span, value in zip(spans[1:], model.gammas(images, top)[1:]):
             span._insert(value)
-    for p in range(2, len(spans)):
+    for p in range(2, top + 1):
         for a in range(1, p // 2 + 1):
             right = [model._support(v) for v in spans[p - a].rows]
             for i, u in enumerate(spans[a].rows):
                 for v in right[i if 2 * a == p else 0 :]:
                     spans[p]._insert(model._times(u, v))
     spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
+    spans += [Subspace(model.dim)] * (p_max - top)
     return spans[: p_max + 1]
 
 
@@ -331,8 +351,7 @@ def gamma_subspace_invariant(g, p, d):
     if p < 0:
         raise ValueError("filtration degree p must be >= 0")
     model = TruncatedAlgebra(g, d)
-    model.invariant_subspace()  # the scan that keeps model.orbit_sums
-    return _gamma_filtration(model, model.orbit_sums, p)[p]
+    return _gamma_filtration(model, model.orbit_sums(), p)[p]
 
 
 class PropEntry(_Record):
@@ -368,9 +387,8 @@ def verify_prop(g, p_max, d):
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     model = TruncatedAlgebra(g, d)
-    model.invariant_subspace()  # the scan that keeps model.orbit_sums
     entries = []
-    for p, s_side in enumerate(_gamma_filtration(model, model.orbit_sums, p_max)):
+    for p, s_side in enumerate(_gamma_filtration(model, model.orbit_sums(), p_max)):
         ambient = model.invariant_subspace(p)
         if not ambient.contains_subspace(s_side):
             raise ReductionDefectError(
@@ -378,12 +396,16 @@ def verify_prop(g, p_max, d):
                 "the filtration inclusion failed, which indicates a defect"
             )
         equal = s_side == ambient
-        # witnesses are reported as rational rows with pivot 1
-        witnesses = tuple(
-            tuple(Fraction(v, next(c for c in row if c)) for v in row)
-            for row in ambient.rows
-            if not equal and not s_side.contains(row)
-        )
+        witnesses = ()
+        if not equal:
+            from fractions import Fraction  # here, not at the top: only a DIFFER needs it
+
+            # witnesses are reported as rational rows with pivot 1
+            witnesses = tuple(
+                tuple(Fraction(v, next(c for c in row if c)) for v in row)
+                for row in ambient.rows
+                if not s_side.contains(row)
+            )
         entries.append(PropEntry(p, s_side.dim, ambient.dim, equal, witnesses))
     return PropReport(
         group=str(g),
@@ -391,3 +413,4 @@ def verify_prop(g, p_max, d):
         entries=tuple(entries),
         passed=all(e.equal for e in entries),
     )
+

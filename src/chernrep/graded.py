@@ -13,16 +13,16 @@ in integer arithmetic.  The symbol map is built one homogeneous degree at a
 time, so `filtration_degree` and `leading_class` stop at the first nonzero
 component.
 
-Products run on integer monomial codes, `_code((k, e_1, ..., e_n), base)`
-for x^e of degree k: in base d + 1, codes of a product add without carry,
-code order is graded lex order, and degree <= d is code < (d + 1)^(n + 1).
+Products run on the integer monomial codes of `char_ring` (`_form`,
+`_product`, `_binomial_power`).
 """
 
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm
 
-from .char_ring import _code, _decode, _signed_sum, augmentation, binomial
+from .char_ring import _binomial_power, _code, _decode, _form, _product
+from .char_ring import _signed_sum, augmentation
 from .errors import (
     AugmentationError,
     FiltrationCapError,
@@ -242,16 +242,6 @@ class SymbolicPolynomial:
         return f"SymbolicPolynomial({self.rank}, {self.terms!r})"
 
 
-def _form(coords, base):
-    """Coded integer terms of the linear form La = sum a_i x_i of a weight a."""
-    n = len(coords)
-    return {
-        _code((1, *(int(j == i) for j in range(n))), base): a
-        for i, a in enumerate(coords)
-        if a
-    }
-
-
 def _coded(terms, base):
     """Exponents -> coefficient terms keyed by their monomial codes."""
     return {_code((sum(e), *e), base): c for e, c in terms.items()}
@@ -268,33 +258,6 @@ def _polynomial(terms, rank, base, divisor=None):
             e = _decode(code, rank + 1, base)
             out[e[1:]] = Fraction(c, divisor(e[0])) if divisor else Fraction(c)
     return SymbolicPolynomial._trusted(rank, out)
-
-
-def _product(f, g, cut):
-    """Product of two coded polynomials, keeping the codes below cut.  The
-    codes of g are walked in increasing order, so each walk stops at the
-    first product past the cut."""
-    out = {}
-    g = sorted(g.items())
-    for a, x in f.items():
-        for b, y in g:
-            c = a + b
-            if c >= cut:
-                break
-            out[c] = out.get(c, 0) + x * y
-    return out
-
-
-def _binomial_power(form, m, d, cut):
-    """(1 + l)^m through degree d for a coded linear form l, with codes
-    below cut: the terms C(m, k) l^k for k <= d, which stop at k = m when
-    m >= 0 and are the truncated inverse power when m < 0."""
-    out, power = {0: 1}, {0: 1}
-    for k in range(1, (d if m < 0 else min(m, d)) + 1):
-        power = _product(power, form, cut)
-        c = binomial(m, k)
-        out.update((code, c * v) for code, v in power.items())
-    return out
 
 
 def _chern_product(x, d):

@@ -24,8 +24,8 @@ from .errors import (
     RankMismatchError,
     ReductionDefectError,
 )
-from .char_ring import _decode
-from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial, _product
+from .char_ring import _decode, _product
+from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial
 from .graded import _terms_json, _terms_text
 from .reps import standard
 from .weyl import (

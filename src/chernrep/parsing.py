@@ -1,5 +1,5 @@
-"""Text grammars: group specs, representation expressions, polynomials,
-characters, generator expressions.
+"""Text grammars: representation expressions, polynomials, characters,
+generator expressions (group specs are parsed by `weyl.parse_group`).
 
 All canonical text emitted by the library round-trips through these parsers.
 """
@@ -9,35 +9,7 @@ import re
 from . import graded, invariants, reps
 from .char_ring import VirtualCharacter
 from .errors import ParseError
-from .weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, _Record
-
-_GROUP_RX = re.compile(r"^(GL|Sp|SO|T)(\d+)$")
-
-
-def parse_group(text):
-    """Parse "GL3", "Sp4", "SO5", "SO4" or "T2" (case-sensitive)."""
-    m = _GROUP_RX.match(text.strip())
-    if not m:
-        raise ParseError(f"not a group spec: {text!r}")
-    kind, num = m.group(1), int(m.group(2))
-    if kind == "GL":
-        if num < 1:
-            raise ParseError("GL needs n >= 1")
-        return GroupSpec(GL, num)
-    if kind == "T":
-        if num < 1:
-            raise ParseError("torus rank must be >= 1")
-        return GroupSpec(TORUS, num)
-    if kind == "Sp":
-        if num < 2 or num % 2:
-            raise ParseError(f"Sp needs an even ambient dimension, got {num}")
-        return GroupSpec(SP, num // 2)
-    if num < 2:
-        raise ParseError(f"SO needs ambient dimension >= 2, got {num}")
-    if num % 2:
-        return GroupSpec(SO_ODD, (num - 1) // 2)
-    return GroupSpec(SO_EVEN, num // 2)
-
+from .weyl import TORUS, _Record
 
 _TOKEN_RX = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
 

@@ -1,4 +1,8 @@
-"""Classical group descriptors and Weyl groups as signed permutations.
+"""Classical group descriptors, their text form, and Weyl groups as signed
+permutations.
+
+`parse_group` reads a group spec ("GL3", "Sp4", "SO5", "T2") into the
+`GroupSpec` it names.
 
 Weights live in the character lattice Z^n of a maximal torus and are plain
 integer tuples.  Weyl groups of the four classical families are realized
@@ -9,10 +13,11 @@ tuples: orbits are closed under them and invariance is checked on them; no
 element of W beyond a generator is ever built.
 """
 
+import re
 from itertools import groupby
 from math import factorial
 
-from .errors import EnumerationLimitError, RankMismatchError
+from .errors import EnumerationLimitError, ParseError, RankMismatchError
 
 GL = "GL"
 SP = "Sp"
@@ -97,6 +102,34 @@ class GroupSpec(_Record):
         if self.family == GL:
             return f"GL{self.rank}"
         return f"{'Sp' if self.family == SP else 'SO'}{self.ambient_dim}"
+
+
+_GROUP_RX = re.compile(r"^(GL|Sp|SO|T)(\d+)$")
+
+
+def parse_group(text):
+    """Parse "GL3", "Sp4", "SO5", "SO4" or "T2" (case-sensitive)."""
+    m = _GROUP_RX.match(text.strip())
+    if not m:
+        raise ParseError(f"not a group spec: {text!r}")
+    kind, num = m.group(1), int(m.group(2))
+    if kind == "GL":
+        if num < 1:
+            raise ParseError("GL needs n >= 1")
+        return GroupSpec(GL, num)
+    if kind == "T":
+        if num < 1:
+            raise ParseError("torus rank must be >= 1")
+        return GroupSpec(TORUS, num)
+    if kind == "Sp":
+        if num < 2 or num % 2:
+            raise ParseError(f"Sp needs an even ambient dimension, got {num}")
+        return GroupSpec(SP, num // 2)
+    if num < 2:
+        raise ParseError(f"SO needs ambient dimension >= 2, got {num}")
+    if num % 2:
+        return GroupSpec(SO_ODD, (num - 1) // 2)
+    return GroupSpec(SO_EVEN, num // 2)
 
 
 class SignedPermutation(_Record):

@@ -32,10 +32,19 @@ def orbit_sum_generators(g, bound):
     return gens
 
 
+def weight_images(model, z):
+    """The coded images of the nonzero weights of z that `model.reduce`
+    appends: the input of `model.gammas` for an orbit sum z."""
+    images = []
+    model.reduce(z, images)
+    return images
+
+
 def full_box_context(g, d, bound=None, top=None):
     """The full-box route: [Gamma^0, ..., Gamma^top] (top = d by default) of
     the degree-d model over one orbit sum per Weyl orbit in the whole box
     [-bound, bound]^n (bound = d by default)."""
     model = TruncatedAlgebra(g, d)
     gens = orbit_sum_generators(g, d if bound is None else bound)
-    return _gamma_filtration(model, gens, d if top is None else top)
+    sums = [weight_images(model, z) for z in gens]
+    return _gamma_filtration(model, sums, d if top is None else top)

@@ -3,9 +3,12 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import chernrep
 import chernrep.cli as cli
@@ -321,7 +324,7 @@ def test_start_up_imports_no_dataclasses_or_json():
                                                 "invariants", "weyl", "filtration_check")}
     assert traced <= set(layers) and traced <= set(wrapped)
     assert methods == ["invariant_subspace", "multiply", "reduce"]
-    assert {"parsing.parse_group", "graded.total_chern"} <= set(spans)
+    assert {"weyl.parse_group", "graded.total_chern"} <= set(spans)
     loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std")
     assert proc.stdout == "1 + x1 + x2 + x1*x2\n"
     assert "json" not in loaded - bare
@@ -343,8 +346,8 @@ print(json.dumps([code, ran, "fractions" in sys.modules]))
 def test_each_subcommand_runs_only_the_layers_it_reaches():
     """A layer that has not run is still a lazy module in sys.modules; -X
     importtime does not list the layers that a lazy module runs."""
-    common = {"cli", "errors", "parsing", "weyl", "char_ring"}
-    reps = common | {"reps"}
+    common = {"cli", "errors", "weyl", "char_ring"}
+    reps = common | {"parsing", "reps"}
     cases = [
         (["lambda", "-p", "2", "GL3", "std"], reps, False),
         (["adams", "-k", "2", "GL3", "std"], reps, False),
@@ -353,10 +356,36 @@ def test_each_subcommand_runs_only_the_layers_it_reaches():
         (["rewrite", "GL2", "x1*x2"], reps | {"graded", "invariants"}, True),
         (["chern", "Sp4", "std", "--basis", "generators"], reps | {"graded", "invariants"}, True),
         (["check-prop", "GL2", "--p-max", "2", "--degree", "2"],
-         common | {"graded", "filtration_check"}, True),
+         common | {"filtration_check"}, False),
     ]
     for argv, layers, fractions in cases:
         assert _child(_LOAD_PROBE, *argv) == [0, sorted(layers), fractions], argv
+
+
+def test_passing_check_prop_imports_no_fractions_or_decimal():
+    """Only a DIFFER builds the rational witness rows that need Fraction."""
+    bare, _ = _imports("-c", "pass")
+    for argv in (["GL2", "--p-max", "2", "--degree", "2"], ["SO4", "--p-max", "4", "--degree", "4", "--json"]):
+        loaded, proc = _imports("-m", "chernrep", "check-prop", *argv)
+        assert "PASS" in proc.stdout or '"pass": true' in proc.stdout
+        assert not {"fractions", "decimal", "numbers"} & (loaded - bare), argv
+
+
+def _readme_layer_table():
+    """(argv, layers) for each row of the README table "The layers a call
+    runs": the row's example call and the layers it lists."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("The layers a call runs", 1)[1]
+    rows = re.findall(r"^\|[^|]*\| `chernrep ([^`]*)` \|([^|]*)\|$", section.split("\n\n", 2)[1], re.M)
+    return [(shlex.split(argv), set(re.findall(r"`(\w+)`", layers))) for argv, layers in rows]
+
+
+def test_readme_layer_table_is_what_each_call_runs():
+    table = _readme_layer_table()
+    assert len(table) >= 6
+    for argv, layers in table:
+        _, ran, _ = _child(_LOAD_PROBE, *argv)
+        assert set(ran) == layers, argv
 
 
 _THREAD_PROBE = """

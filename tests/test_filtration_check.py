@@ -32,7 +32,7 @@ from chernrep.weyl import (
     orbit,
     weyl_generators,
 )
-from filtration_oracle import full_box_context, orbit_sum_generators
+from filtration_oracle import full_box_context, orbit_sum_generators, weight_images
 
 rng = random.Random(31337)
 
@@ -45,8 +45,7 @@ def kept_filtration(g, d):
     """The model of degree d and [Gamma^0, ..., Gamma^d] over the orbit sums
     its scan keeps."""
     model = TruncatedAlgebra(g, d)
-    model.invariant_subspace()
-    return model, _gamma_filtration(model, model.orbit_sums, d)
+    return model, _gamma_filtration(model, model.orbit_sums(), d)
 
 
 def test_model_dimensions():
@@ -251,7 +250,7 @@ def test_gammas_match_gamma_series():
         for d in range(1, 5):
             model = TruncatedAlgebra(g, d)
             for z in orbit_sum_generators(g, d):
-                es = model.gammas(z)
+                es = model.gammas(weight_images(model, z))
                 for a in range(d + 1):
                     assert es[a] == model.reduce(gamma_series(z, a).coefficient(a))
 
@@ -366,21 +365,22 @@ def test_gamma_spans_stop_at_p_max(monkeypatch):
     d = 4
     gammas, tops = TruncatedAlgebra.gammas, []
 
-    def recorded(self, z, top=None):
+    def recorded(self, images, top=None):
         tops.append(top)
-        return gammas(self, z, top)
+        return gammas(self, images, top)
 
     monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded)
     for family in (GL, SP, SO_EVEN):
         g = GroupSpec(family, 2)
         model, full = kept_filtration(g, d)
-        for z in model.orbit_sums:
-            assert model.gammas(z, 2) == model.gammas(z)[:3]
+        sums = model.orbit_sums()
+        for images in sums:
+            assert model.gammas(images, 2) == model.gammas(images)[:3]
         for p_max in range(d + 1):
             tops.clear()
-            spans = _gamma_filtration(model, model.orbit_sums, p_max)
+            spans = _gamma_filtration(model, sums, p_max)
             assert spans == full[: p_max + 1]
-            assert tops == [min(max(p_max, 1), d)] * len(model.orbit_sums)
+            assert tops == [min(max(p_max, 1), d)] * len(sums)
             entries = verify_prop(g, p_max, d).entries
             assert entries == verify_prop(g, d, d).entries[: p_max + 1]
 
@@ -524,9 +524,10 @@ def test_kept_generators_are_independent_and_at_most_the_invariants():
         for d in range(1, 5):
             model = TruncatedAlgebra(g, d)
             target = model.invariant_subspace(1).dim
-            images = [model.reduce(z) for z in model.orbit_sums]
+            # gamma^1 of an orbit sum is its image
+            images = [model.gammas(sum_images, 1)[1] for sum_images in model.orbit_sums()]
             assert Subspace.from_vectors(model.dim, images).dim == len(images)
-            assert len(model.orbit_sums) == target
+            assert len(images) == target
 
 
 def test_check_prop_gl4_degree_five_matches_the_full_box_route():
@@ -646,7 +647,7 @@ def test_product_spans_from_lower_pieces_match_all_splits():
     cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
     for g, d in cases + [(GroupSpec(GL, 3), 5)]:
         model, filtration = kept_filtration(g, d)
-        values = [model.gammas(z) for z in model.orbit_sums]
+        values = [model.gammas(images) for images in model.orbit_sums()]
         gamma_spans = [
             Subspace.from_vectors(model.dim, [es[a] for es in values])
             for a in range(d + 1)
@@ -657,13 +658,10 @@ def test_product_spans_from_lower_pieces_match_all_splits():
             assert oracle.rows == filtration[p].rows, (g, d, p)
 
 
-def test_product_spans_form_each_product_once(monkeypatch):
-    """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
-    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
-    The products are the `_times` calls without `out`; the gamma
-    recurrence adds into its own vectors."""
-    model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
-    model.invariant_subspace()
+def _count_products(monkeypatch):
+    """A one-item list that counts the products formed from now on: the
+    `_times` calls without `out`, as the gamma recurrence adds into its own
+    vectors."""
     times, count = TruncatedAlgebra._times, [0]
 
     def counted(self, u, support_v, out=None):
@@ -671,8 +669,82 @@ def test_product_spans_form_each_product_once(monkeypatch):
         return times(self, u, support_v, out)
 
     monkeypatch.setattr(TruncatedAlgebra, "_times", counted)
-    _gamma_filtration(model, model.orbit_sums, 4)
+    return count
+
+
+def test_product_spans_form_each_product_once(monkeypatch):
+    """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
+    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
+    The products are the `_times` calls without `out`; the gamma
+    recurrence adds into its own vectors."""
+    model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
+    count = _count_products(monkeypatch)
+    _gamma_filtration(model, model.orbit_sums(), 4)
     assert 0 < count[0] <= 260
+
+
+def test_products_stop_at_the_truncation_degree(monkeypatch):
+    """Gamma^p lies in r^p, which is zero in the model for p > d, so a
+    p_max past d forms no more products than p_max = d."""
+    counts = []
+    for p_max in (4, 12):
+        count = _count_products(monkeypatch)
+        report = verify_prop(GroupSpec(GL, 3), p_max, 4)
+        counts.append(count[0])
+        assert all(e.dim_gamma_S == e.dim_gamma_R_cap_S == 0 for e in report.entries[5:])
+    assert counts[0] == counts[1] == 260
+
+
+def test_check_prop_far_past_the_truncation_degree():
+    """Stdout md5 of p_max = 3000 recorded when every Gamma^p up to p_max
+    was built from products, which took about 6 s; p_max = 10000 took 51 s."""
+    for p_max, digest in (("3000", "58ea7e77166b5767e43602e6d142b10a"), ("10000", None)):
+        start = time.monotonic()
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["check-prop", "GL2", "--p-max", p_max, "--degree", "2"], out, err) == 0
+        assert time.monotonic() - start < 2.0
+        assert err.getvalue() == ""
+        if digest:
+            assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest
+        else:
+            assert out.getvalue().endswith(
+                "p=10000  dim_gamma_S=0  dim_gamma_R_cap_S=0  equal\nPASS\n"
+            )
+
+
+def test_each_weight_is_reduced_once(monkeypatch):
+    """The scan reduces each orbit sum once and keeps the images of the
+    weights of the sums it keeps; `gammas` reads them and reduces nothing."""
+    reduce, gammas = TruncatedAlgebra.reduce, TruncatedAlgebra.gammas
+    reduced, in_gammas = [], [False]
+
+    def recorded_reduce(self, x, images=None):
+        assert not in_gammas[0], "gammas called reduce"
+        reduced.extend(b for b in x.terms if any(b))
+        return reduce(self, x, images)
+
+    def recorded_gammas(self, images, top=None):
+        in_gammas[0] = True
+        try:
+            return gammas(self, images, top)
+        finally:
+            in_gammas[0] = False
+
+    monkeypatch.setattr(TruncatedAlgebra, "reduce", recorded_reduce)
+    monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded_gammas)
+    for family, rank, d in [(GL, 3, 4), (SP, 2, 4), (SO_EVEN, 3, 3)]:
+        g = GroupSpec(family, rank)
+        reduced.clear()
+        assert verify_prop(g, d, d).passed
+        assert len(reduced) == len(set(reduced))
+        reduced.clear()
+        model = TruncatedAlgebra(g, d)
+        sums = model.orbit_sums()
+        assert model.orbit_sums() is sums
+        _gamma_filtration(model, sums, d)
+        assert model.invariant_subspace(1).dim == len(sums)
+        assert len(reduced) == len(set(reduced))
+        assert 0 < sum(len(images) for images in sums) <= len(reduced)
 
 
 @pytest.mark.parametrize(

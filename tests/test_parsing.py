@@ -18,12 +18,11 @@ from chernrep.parsing import (
     RWeights,
     parse_character,
     parse_generator_expression,
-    parse_group,
     parse_polynomial,
     parse_rep,
     rep_to_character,
 )
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, parse_group
 
 rng = random.Random(808)
 
