@@ -14,8 +14,7 @@ from _thread import RLock
 
 _PUBLIC = {
     "char_ring": (
-        "CharSeries", "VirtualCharacter", "adams", "augmentation", "gamma_series",
-        "lambda_series",
+        "VirtualCharacter", "adams", "augmentation", "gamma_series", "lambda_series",
     ),
     "errors": ("ChernRepError",),
     "filtration_check": (

@@ -4,10 +4,10 @@ A virtual character is a finitely supported integer combination of lattice
 weights, i.e. an element of the group algebra Z[Z^n].  Multiplication is
 convolution of weights (tensor product of representations), the augmentation
 counts total multiplicity (virtual dimension), and the lambda/gamma series
-are truncated power series with virtual-character coefficients.  The lambda
-series, which builds every exterior and symmetric power, is computed in one
-pass over the weights on integer-coded weights (see `lambda_series`), not
-by multiplying whole series.
+truncated at degree d are the tuples of their d + 1 virtual-character
+coefficients.  The lambda series, which builds every exterior and symmetric
+power, is computed in one pass over the weights on integer-coded weights
+(see `lambda_series`), not by multiplying whole series.
 
 The same integer codes carry the truncated polynomials of `graded`,
 `invariants` and the filtration model: x^e of degree k has the monomial
@@ -248,48 +248,9 @@ def adams(k, x):
     return VirtualCharacter(x.rank, terms)
 
 
-class CharSeries:
-    """Power series in t, truncated at a fixed degree, with virtual-character
-    coefficients."""
-
-    __slots__ = ("rank", "degree", "coeffs")
-
-    def __init__(self, rank, coeffs):
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if c.rank != rank:
-                raise RankMismatchError("series coefficient rank mismatch")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharSeries is immutable")
-
-    @classmethod
-    def one(cls, rank, degree):
-        coeffs = [VirtualCharacter.unit(rank)]
-        coeffs += [VirtualCharacter.zero(rank) for _ in range(degree)]
-        return cls(rank, coeffs)
-
-    def coefficient(self, p):
-        if p < 0 or p > self.degree:
-            raise IndexError(f"degree {p} outside truncation 0..{self.degree}")
-        return self.coeffs[p]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharSeries)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"CharSeries({self.rank}, {list(self.coeffs)!r})"
-
-
 def lambda_series(x, d):
-    """lambda_t(x) truncated at degree d, in one pass over the weights.
+    """lambda_t(x) truncated at degree d, in one pass over the weights, as
+    the tuple of its coefficients: entry p is lambda^p(x).
 
     Writing x = sum of m_a [a], the series is the product over weights of
     (1 + [a]t)^(m_a), expanded by the generalized binomial series
@@ -304,12 +265,12 @@ def lambda_series(x, d):
     A weight with m = -n < 0 divides by (1 + [a]t)^n instead: for k = 1 up
     to d, e_k -= sum_(1<=j<=min(n,k)) C(n, j) [j*a] e_(k-j), reading the
     new lower coefficients.  Codes are decoded to weight tuples only for
-    the returned CharSeries.
+    the returned coefficients.
     """
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
     coeffs, base, bound = _lambda_codes(x, d)
-    return CharSeries(x.rank, [_from_codes(x.rank, ek, base, bound) for ek in coeffs])
+    return tuple(_from_codes(x.rank, ek, base, bound) for ek in coeffs)
 
 
 def _lambda_codes(x, d):
@@ -352,17 +313,23 @@ def _from_codes(rank, coded, base, bound, sign=1):
 
 
 def gamma_series(x, d):
-    """gamma_t(x) = lambda_{t/(1-t)}(x) truncated at degree d.
+    """gamma_t(x) = lambda_{t/(1-t)}(x) truncated at degree d, as the tuple
+    of its coefficients: entry q is gamma^q(x).
 
     The coefficient of t^q in (t/(1-t))^p is C(q-1, p-1), so
-    gamma^q(x) = sum_(1<=p<=q) C(q-1, p-1) lambda^p(x) for q >= 1.
+    gamma^q(x) = sum_(1<=p<=q) C(q-1, p-1) lambda^p(x) for q >= 1.  The sum
+    runs on the coded coefficients of `_lambda_codes`, whose weights all
+    share one base, and each gamma^q is decoded once.
     """
     if d < 0:
         raise ValueError("truncation degree must be >= 0")
-    lam = lambda_series(x, d).coeffs
-    out = list(lam)
-    for q in range(2, d + 1):
-        for p in range(1, q):
-            if lam[p]:
-                out[q] = out[q] + lam[p] * binomial(q - 1, p - 1)
-    return CharSeries(x.rank, out)
+    lam, base, bound = _lambda_codes(x, d)
+    coeffs = [lam[0]]
+    for q in range(1, d + 1):
+        gq = {}
+        for p in range(1, q + 1):
+            c = binomial(q - 1, p - 1)
+            for key, v in lam[p].items():
+                gq[key] = gq.get(key, 0) + c * v
+        coeffs.append(gq)
+    return tuple(_from_codes(x.rank, gq, base, bound) for gq in coeffs)

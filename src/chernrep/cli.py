@@ -95,6 +95,17 @@ def _emit_json(obj, out):
     print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")), file=out)
 
 
+def _print_result(args, out, g, value, **fields):
+    """Print value as text or, with --json, the object of the group and the
+    fields, a field that has `to_json_obj` written as that."""
+    if args.json:
+        obj = {k: v.to_json_obj() if hasattr(v, "to_json_obj") else v for k, v in fields.items()}
+        _emit_json({"group": str(g), **obj}, out)
+    else:
+        print(value.to_text(), file=out)
+    return 0
+
+
 def _character_for(args, g):
     node = parsing.parse_rep(args.rep, g)
     return parsing.rep_to_character(node, g)
@@ -124,20 +135,9 @@ def _cmd_chern(args, out, err):
     poly = graded.total_chern(x, d)
     if args.basis == "generators":
         poly = invariants.rewrite(poly, g)
-    if args.json:
-        _emit_json(
-            {
-                "group": str(g),
-                "rep": args.rep,
-                "max_degree": d,
-                "basis": args.basis,
-                "total_chern": poly.to_json_obj(),
-            },
-            out,
-        )
-    else:
-        print(poly.to_text(), file=out)
-    return 0
+    return _print_result(
+        args, out, g, poly, rep=args.rep, max_degree=d, basis=args.basis, total_chern=poly
+    )
 
 
 def _cmd_ch(args, out, err):
@@ -145,42 +145,24 @@ def _cmd_ch(args, out, err):
     x = _character_for(args, g)
     d = _degree_for(args, x)
     poly = graded.symbol_map(x, d)
-    if args.json:
-        _emit_json(
-            {
-                "group": str(g),
-                "rep": args.rep,
-                "max_degree": d,
-                "chern_character": poly.to_json_obj(),
-            },
-            out,
-        )
-    else:
-        print(poly.to_text(), file=out)
-    return 0
+    return _print_result(args, out, g, poly, rep=args.rep, max_degree=d, chern_character=poly)
 
 
 def _cmd_adams(args, out, err):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
-    return _print_operation(args, "k", args.k, adams_op, out)
+    g = parse_group(args.group)
+    result = adams_op(args.k, _character_for(args, g))
+    return _print_result(args, out, g, result, rep=args.rep, k=args.k, result=result)
 
 
 def _cmd_lambda(args, out, err):
     if args.p < 0:
         raise UsageError("-p must be >= 0")
-    return _print_operation(args, "p", args.p, lambda p, x: reps.exterior(x, p), out)
-
-
-def _print_operation(args, key, n, op, out):
-    """Print op(n, x) for the character x of args.rep, as text or JSON."""
     g = parse_group(args.group)
-    result = op(n, _character_for(args, g))
-    if args.json:
-        _emit_json({"group": str(g), "rep": args.rep, key: n, "result": result.to_json_obj()}, out)
-    else:
-        print(result.to_text(), file=out)
-    return 0
+    x = _character_for(args, g)  # before the lookup on reps: a refused rep never runs it
+    result = reps.exterior(x, args.p)
+    return _print_result(args, out, g, result, rep=args.rep, p=args.p, result=result)
 
 
 def _cmd_check_prop(args, out, err):
@@ -218,18 +200,7 @@ def _cmd_rewrite(args, out, err):
     g = parse_group(args.group)
     f = parsing.parse_polynomial(args.polynomial, g.rank)
     expr = invariants.rewrite(f, g)
-    if args.json:
-        _emit_json(
-            {
-                "group": str(g),
-                "input": f.to_json_obj(),
-                "generators": expr.to_json_obj(),
-            },
-            out,
-        )
-    else:
-        print(expr.to_text(), file=out)
-    return 0
+    return _print_result(args, out, g, expr, input=f, generators=expr)
 
 
 _COMMANDS = {

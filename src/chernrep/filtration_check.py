@@ -327,8 +327,8 @@ def _gamma_filtration(model, sums, p_max):
     spanned by gamma^p and the products of the rows of Gamma^a and
     Gamma^(p-a), a <= p/2, both built before it; at 2a = p the pairs i <= j
     of rows suffice.  Gamma^0 is the unit with Gamma^1.  Past d, Gamma^p
-    lies in r^p, which is zero in the model: those spans are the zero
-    subspace, and no product is formed for them."""
+    lies in r^p, which is zero in the model, so the list stops at
+    p = min(p_max, d) and no product is formed past d."""
     top = min(max(p_max, 1), model.d)
     spans = [Subspace(model.dim) for _ in range(top + 1)]
     for images in sums:
@@ -341,22 +341,22 @@ def _gamma_filtration(model, sums, p_max):
                 for v in right[i if 2 * a == p else 0 :]:
                     spans[p]._insert(model._times(u, v))
     spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
-    spans += [Subspace(model.dim)] * (p_max - top)
     return spans[: p_max + 1]
 
 
 def gamma_subspace_invariant(g, p, d):
     """Image in the truncated model of the degree-p piece of the gamma
-    filtration of the invariant subring."""
+    filtration of the invariant subring; zero for p > d."""
     if p < 0:
         raise ValueError("filtration degree p must be >= 0")
     model = TruncatedAlgebra(g, d)
+    if p > d:
+        return Subspace(model.dim)
     return _gamma_filtration(model, model.orbit_sums(), p)[p]
 
 
 class PropEntry(_Record):
     __slots__ = ("p", "dim_gamma_S", "dim_gamma_R_cap_S", "equal", "witnesses")
-    _defaults = {"witnesses": ()}
 
 
 class PropReport(_Record):
@@ -383,7 +383,8 @@ def verify_prop(g, p_max, d):
     """Compare, for each p <= p_max, the invariant-ring filtration subspace
     with the restricted ambient one.  The inclusion of the former in the
     latter must hold outright; equality failures are reported with the
-    offending ambient basis vectors."""
+    offending ambient basis vectors.  Past d both are zero in the model,
+    so those entries are equal at dimension 0 without any work."""
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     model = TruncatedAlgebra(g, d)
@@ -407,6 +408,7 @@ def verify_prop(g, p_max, d):
                 if not s_side.contains(row)
             )
         entries.append(PropEntry(p, s_side.dim, ambient.dim, equal, witnesses))
+    entries += [PropEntry(p, 0, 0, True, ()) for p in range(len(entries), p_max + 1)]
     return PropReport(
         group=str(g),
         d=d,

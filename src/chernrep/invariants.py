@@ -24,7 +24,7 @@ from .errors import (
     RankMismatchError,
     ReductionDefectError,
 )
-from .char_ring import _decode, _product
+from .char_ring import _code, _decode, _product
 from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial
 from .graded import _terms_json, _terms_text
 from .reps import standard
@@ -34,6 +34,7 @@ from .weyl import (
     _fixed_by_generators,
     invariant_degrees,
     orbit,
+    weyl_generators,
 )
 
 
@@ -205,10 +206,12 @@ def rewrite(f, g):
     refused.
 
     A remainder that empties has written f in the invariant generators, so
-    success proves f invariant and no separate check runs.  Only when the
-    elimination stops at a leading exponent that no generator monomial has
-    does `is_invariant` decide between InvarianceError and
-    ReductionDefectError.
+    success proves f invariant and no separate check runs.  The remainder
+    of an invariant f is invariant, so each leading term is checked
+    against its images under the Weyl generators, one lookup each, and the
+    elimination stops at the first term that differs from one of them, or
+    whose exponent no generator monomial has.  Only then does
+    `is_invariant` decide between InvarianceError and ReductionDefectError.
     """
     _check_rank(f, g)
     n = g.rank
@@ -220,16 +223,20 @@ def rewrite(f, g):
         code: c.numerator * (scale // c.denominator)
         for code, c in _coded(f.terms, base).items()
     }
+    generators = weyl_generators(g)
     out = {}
     while rest:
         lead = max(rest)
         exps = _decode(lead, n + 1, base)[1:]
         gaps = [a - b for a, b in zip(exps, exps[1:] + (0,))]
-        if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)):
+        images = (_monomial(w.act(exps)) for w in generators)
+        if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)) or any(
+            rest.get(_code((sum(e), *e), base)) != sign * rest[lead] for e, sign in images
+        ):
             if not is_invariant(f, g):
                 raise InvarianceError("rewrite needs a Weyl-invariant polynomial")
             raise ReductionDefectError(
-                f"leading exponent {exps} is not that of a generator monomial, "
+                f"the elimination stops at leading exponent {exps}, "
                 "although the input is invariant"
             )
         k = tuple(gap // s for gap, s in zip(gaps, steps))

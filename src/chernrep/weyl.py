@@ -33,17 +33,16 @@ ENUMERATION_LIMIT = 10**6
 
 class _Record:
     """An immutable value whose fields are its __slots__, given by position
-    or keyword (else from _defaults).  Records are equal, and hash alike,
-    when of one class with equal fields."""
+    or keyword.  Records are equal, and hash alike, when of one class with
+    equal fields."""
 
     __slots__ = ()
-    _defaults = {}
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
         if kwargs or len(args) != len(fields):
             # dict() refuses a field given both by position and by keyword
-            values = dict(self._defaults, **dict(zip(fields, args)), **kwargs)
+            values = dict(**dict(zip(fields, args)), **kwargs)
             if len(args) > len(fields) or values.keys() != set(fields):
                 raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
             args = [values[name] for name in fields]

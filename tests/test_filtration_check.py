@@ -252,7 +252,7 @@ def test_gammas_match_gamma_series():
             for z in orbit_sum_generators(g, d):
                 es = model.gammas(weight_images(model, z))
                 for a in range(d + 1):
-                    assert es[a] == model.reduce(gamma_series(z, a).coefficient(a))
+                    assert es[a] == model.reduce(gamma_series(z, a)[a])
 
 
 def action_columns(model, w):
@@ -695,6 +695,28 @@ def test_products_stop_at_the_truncation_degree(monkeypatch):
     assert counts[0] == counts[1] == 260
 
 
+def test_no_work_past_the_truncation_degree(monkeypatch):
+    """Past d both sides are zero in the model: p_max = 12 at d = 4 builds
+    as many ambient subspaces as p_max = 4, and each entry past p = 4 is
+    equal at dimension 0 with no witnesses."""
+    subspace, calls = TruncatedAlgebra.invariant_subspace, [0]
+
+    def counted(self, p=0):
+        calls[0] += 1
+        return subspace(self, p)
+
+    monkeypatch.setattr(TruncatedAlgebra, "invariant_subspace", counted)
+    g, reports, counts = GroupSpec(GL, 3), [], []
+    for p_max in (4, 12):
+        calls[0] = 0
+        reports.append(verify_prop(g, p_max, 4))
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
+    assert reports[1].entries[:5] == reports[0].entries
+    assert reports[1].entries[5:] == tuple(PropEntry(p, 0, 0, True, ()) for p in range(5, 13))
+    assert gamma_subspace_invariant(g, 7, 4) == Subspace(TruncatedAlgebra(g, 4).dim)
+
+
 def test_check_prop_far_past_the_truncation_degree():
     """Stdout md5 of p_max = 3000 recorded when every Gamma^p up to p_max
     was built from products, which took about 6 s; p_max = 10000 took 51 s."""
@@ -771,7 +793,7 @@ def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
 
 
 def test_prop_records_are_immutable_values():
-    entry = PropEntry(1, 2, 2, True)
+    entry = PropEntry(1, 2, 2, True, ())
     assert entry.witnesses == ()
     assert entry == PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=())
     assert entry != PropEntry(1, 2, 2, True, ((1, 0),))
@@ -785,3 +807,5 @@ def test_prop_records_are_immutable_values():
         report.passed = False
     with pytest.raises(TypeError):
         PropReport(group="GL2", d=2, entries=(entry,))
+    with pytest.raises(TypeError):
+        PropEntry(1, 2, 2, True)  # no field has a default

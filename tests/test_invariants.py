@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,18 @@ from chernrep.invariants import (
     rewrite,
     symmetrize,
 )
+from chernrep.parsing import parse_polynomial
 from chernrep.reps import standard
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec, invariant_degrees
+from chernrep.weyl import (
+    GL,
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    TORUS,
+    GroupSpec,
+    invariant_degrees,
+    parse_group,
+)
 from weyl_oracle import oracle_average
 
 rng = random.Random(77)
@@ -191,6 +202,29 @@ def test_rewrite_requires_invariance():
         rewrite(P(2, {(1, 0): 1}), GroupSpec(GL, 2))
     with pytest.raises(InvarianceError):
         rewrite(P(2, {(1, 0): 1, (0, 1): 1}), GroupSpec(SP, 2))
+
+
+@pytest.mark.parametrize(
+    "group,text",
+    [
+        ("GL2", "x1^3000"),
+        ("Sp4", "x1^301*x2^2"),
+        ("GL3", "x1^200*x3"),
+        ("GL2", "x1^600 + x2^600 + x1^599*x2"),
+    ],
+)
+def test_rewrite_refuses_a_non_invariant_input_at_once(group, text):
+    """Each leading term is checked against its images under the Weyl
+    generators, so the elimination stops at the first step that shows the
+    input is not invariant; x1^600 took 20 s when only a leading exponent
+    of no generator monomial stopped it.  In the last input the first
+    leading term passes the check and the second does not."""
+    g = parse_group(group)
+    f = parse_polynomial(text, g.rank)
+    start = time.monotonic()
+    with pytest.raises(InvarianceError):
+        rewrite(f, g)
+    assert time.monotonic() - start < 1.0
 
 
 def test_rewrite_refuses_a_wrong_rank_before_any_work(monkeypatch):
@@ -423,7 +457,8 @@ def test_rewrite_stdout_pinned(argv, digest):
 @pytest.mark.parametrize("group", ["GL2", "Sp4"])
 def test_rewrite_defect_guard(monkeypatch, group):
     # x1 is not invariant; with the invariance check bypassed the elimination
-    # must still stop at a leading exponent that no generator monomial has
+    # must still stop: for GL2 at x1, whose image x2 is missing, and for Sp4
+    # at x1, the leading exponent of no generator monomial
     monkeypatch.setattr(invariants, "is_invariant", lambda f, g: True)
     out, err = io.StringIO(), io.StringIO()
     assert cli.run(["rewrite", group, "x1"], out, err) == 2
