@@ -9,11 +9,11 @@ coefficients.  The lambda series, which builds every exterior and symmetric
 power, is computed in one pass over the weights on integer-coded weights
 (see `lambda_series`), not by multiplying whole series.
 
-The same integer codes carry the truncated polynomials of `graded`,
-`invariants` and the filtration model: x^e of degree k has the monomial
-code `_code((k, e_1, ..., e_n), base)`.  In base d + 1 the codes of a
-product add without carry, code order is graded lex order, and degree <= d
-is code < (d + 1)^(n + 1).
+The same integer codes carry the truncated polynomials of `graded` and
+`invariants`: x^e of degree k has the monomial code
+`_code((k, e_1, ..., e_n), base)`.  In base d + 1 the codes of a product
+add without carry, code order is graded lex order, and degree <= d is
+code < (d + 1)^(n + 1).
 
 Everything here is exact integer arithmetic; no floats anywhere.
 """

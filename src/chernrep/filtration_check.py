@@ -1,35 +1,36 @@
 """Small-scale computational check that the gamma filtration of an invariant
 subring matches the restricted ambient filtration, rationally.
 
-The ambient ring R(T) (tensor Q) is modelled modulo r^(d+1), r the
-augmentation ideal: with u_i = [e_i] - [0] the quotient is the truncated
-polynomial algebra on u_1..u_n, with monomial basis of total degree <= d,
-and every character reduces exactly via [a] = prod (1 + u_i)^(a_i) expanded
-through generalized binomials.
+Over Q the Chern character is a W-equivariant isomorphism of filtered rings
+ch: R(T) tensor Q / r^(d+1) -> Q[x_1..x_n] / (deg > d), r the augmentation
+ideal, which sends r^p onto degree >= p (Fulton-Lang, Riemann-Roch Algebra,
+ch. III; Atiyah-Tall 1969).  So the check runs in the W-invariants of the
+right-hand side.  An invariant F is kept as its coordinates
+c_mu = mu! [x^mu] F (mu! = prod_i mu_i!) over the dominant exponents mu with
+|mu| <= d, by degree: the partitions with at most n parts for GL (and a
+torus, whose Weyl generators are GL's), those with every part even for Sp
+and odd SO, and for even SO also those with n parts, all odd.  As
+ch [a] = e^(a.x), a character x = sum_a m_a [a] has c_mu = sum_a m_a a^mu.
 
 Inside the model two subspaces are built per degree p and compared:
 
   * the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k), sum a_j = p,
     with the z's running over Weyl-orbit sums z = sum_b ([b] - [0]) whose
-    model images are a basis of the images of all orbit sums in the box
-    [-d, d]^n, which span the augmentation-zero invariants: over Q,
-    gamma^a(x) modulo r^(d+1) depends only on the image of x.  The gamma
-    operations never leave the model: gamma_t([b] - 1) = 1 + ([b] - 1)t,
-    so gamma^a(z) is the elementary symmetric function e_a of the images
-    u_b of [b] - [0].  The scan below reduces each weight b once, and the
-    images of the weights of the sums it keeps are the u_b that `gammas`
-    reads.  A product of two or more factors splits into two of weights
-    a <= p/2 and p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so the
-    span is gamma^p plus Gamma^a Gamma^(p-a) for a <= p/2 only, and
-    Gamma^0..Gamma^d come from one forward pass: gamma^1..gamma^top of each
-    sum at once, then each Gamma^p from the pieces below it.  Gamma^p lies
-    in r^p, so for p > d it is zero in the model and no product is formed;
-  * the W-invariant vectors supported on basis monomials of degree >= p
-    (the reduction of r^p, which is the ambient filtration for a split ring,
-    cut down to the invariants).  The invariants of the model are the span
-    of the unit and the images of those same kept orbit sums, found by one
-    scan per model that stops at the number of W-invariant polynomials of
-    degree <= d (Chevalley: a free algebra on generators of known degrees).
+    images are a basis of the augmentation-zero invariants, kept by one
+    scan of the dominant weights: over Q, gamma^a(x) modulo r^(d+1) depends
+    only on the image of x.  As gamma_t([b] - 1) = 1 + ([b] - 1)t,
+    gamma^a(z) is the elementary symmetric function e_a of the images
+    u_b = e^(b.x) - 1, which Newton's identity builds from their power sums
+    P_k = sum_b u_b^k; the degree-m part of P_k is k! S(m, k) z_m, with S
+    the Stirling numbers of the second kind.  A product of two or more
+    factors splits into two of weights a <= p/2 and p - a, and
+    Gamma^a Gamma^b lies in Gamma^(a+b), so the span is gamma^p plus
+    Gamma^a Gamma^(p-a) for a <= p/2 only, and Gamma^0..Gamma^d come from
+    one forward pass: gamma^1..gamma^top of each sum at once, then each
+    Gamma^p from the pieces below it.  Gamma^p lies in r^p, so for p > d it
+    is zero in the model and no product is formed;
+  * the invariants of filtration degree >= p, the image of r^p cut down to
+    the invariants: the span of the coordinates of degree >= p.
 
 All linear algebra is exact and runs through one fraction-free routine in
 integers: a subspace is kept as its reduced row echelon form with primitive
@@ -37,11 +38,12 @@ integer rows and positive pivots, which is canonical, so subspace equality
 is literal equality.
 """
 
-from math import gcd
+from itertools import product
+from math import comb, factorial, gcd, prod
 
-from .char_ring import VirtualCharacter, _binomial_power, _code, _form, _product
-from .errors import RankMismatchError, ReductionDefectError, model_dimension
-from .weyl import _Record, dominant_weights, invariant_degrees, orbit
+from .char_ring import VirtualCharacter
+from .errors import InvarianceError, RankMismatchError, ReductionDefectError, model_dimension
+from .weyl import GL, SO_EVEN, TORUS, _fixed_by_generators, _Record, dominant_weights, orbit
 
 
 def _primitive(vec):
@@ -135,29 +137,53 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _dominant_exponents(g, d):
+    """The exponents mu, |mu| <= d, whose orbit sums span the W-invariant
+    polynomials of degree <= d, as non-increasing n-tuples, by degree: all
+    of them for GL and the torus, those with every part even where W
+    changes signs, and for even SO, which changes an even number of signs,
+    also those with every part odd."""
+    n = g.rank
+
+    def parts(k, s, top):
+        # the non-increasing k-tuples of sum s with entries <= top
+        if s > k * top:
+            return
+        if k == 0:
+            yield ()
+            return
+        for v in range(min(s, top), -1, -1):
+            for tail in parts(k - 1, s - v, v):
+                yield (v, *tail)
+
+    return [
+        mu
+        for s in range(d + 1)
+        for mu in parts(n, s, s)
+        if g.family in (GL, TORUS)
+        or all(v % 2 == 0 for v in mu)
+        or (g.family == SO_EVEN and all(v % 2 for v in mu))
+    ]
+
+
 class TruncatedAlgebra:
-    """R(T) tensor Q modulo r^(d+1), with a monomial basis in the u_i."""
+    """The W-invariants of Q[x_1..x_n] / (deg > d), the image under ch of
+    those of R(T) tensor Q modulo r^(d+1).  A vector is the list of the
+    coordinates c_mu = mu! [x^mu] F of an invariant F over `exponents`,
+    the dominant exponents of degree <= d, by degree."""
 
     def __init__(self, group, d):
         if d < 1:
             raise ValueError("truncation degree must be >= 1")
-        n = group.rank
-        self.dim = model_dimension(n, d)
+        model_dimension(group.rank, d)  # the size guard of the whole truncated ring
         self.group = group
         self.d = d
-        self.rank = n
-        mons = [()]
-        for _ in range(n):
-            mons = [m + (k,) for m in mons for k in range(d + 1 - sum(m))]
-        # basis order is monomial code order in base d + 1 (graded lex), and
-        # a product of basis monomials lies in the model iff its code < cut
-        self.monomials = sorted(mons, key=lambda m: (sum(m), m))
-        self.degrees = [sum(m) for m in self.monomials]
-        self.codes = [_code((k, *m), d + 1) for k, m in zip(self.degrees, self.monomials)]
-        self.index = {c: j for j, c in enumerate(self.codes)}
-        self._cut = (d + 1) ** (n + 1)
-        self._powers = {}  # (i, a) -> coded (1 + u_i)^a through degree d
-        self._scanned = None  # (kept orbit sums, invariants), built on first use
+        self.rank = group.rank
+        self.exponents = _dominant_exponents(group, d)
+        self.dim = len(self.exponents)
+        self.degrees = [sum(mu) for mu in self.exponents]
+        self._table = None  # the product table, built on first use
+        self._sums = None  # the kept orbit-sum images, built on first use
 
     def zero(self):
         return [0] * self.dim
@@ -167,179 +193,147 @@ class TruncatedAlgebra:
         vec[0] = 1
         return vec
 
-    def reduce(self, x, images=None):
-        """Image of a virtual character: [a] expands as the product of
-        (1 + u_i)^(a_i) truncated, with integer binomial coefficients, taken
-        on monomial codes over the nonzero coordinates of a only.  With a
-        list `images`, the coded image of [a] (monomial code -> coefficient,
-        the constant 1 at code 0) of each nonzero weight a of x is appended
-        to it, in the order of x.terms."""
+    def reduce(self, x):
+        """Image of a W-invariant virtual character: c_mu = sum_a m_a a^mu.
+        A character that a Weyl generator moves has no image here and is
+        refused with InvarianceError."""
         if x.rank != self.rank:
             raise RankMismatchError("character rank does not match the model")
-        vec = self.zero()
-        index, cut, powers = self.index, self._cut, self._powers
-        for w, mult in x.terms.items():
-            terms = None
-            for i, a in enumerate(w):
-                if not a:
-                    continue
-                power = powers.get((i, a))
-                if power is None:
-                    u = _form([int(j == i) for j in range(self.rank)], self.d + 1)
-                    power = powers[i, a] = _binomial_power(u, a, self.d, cut)
-                terms = power if terms is None else _product(terms, power, cut)
-            if images is not None and terms is not None:
-                images.append(terms)
-            for code, c in (terms or {0: 1}).items():
-                vec[index[code]] += mult * c
-        return vec
+        if not _fixed_by_generators(x.terms, self.group, lambda v: (v, 1)):
+            raise InvarianceError(f"the character is not fixed by the Weyl group of {self.group}")
+        return [
+            sum(m * prod(map(pow, a, mu)) for a, m in x.terms.items())
+            for mu in self.exponents
+        ]
 
-    def multiply(self, u, v):
-        """Product of two model vectors."""
-        return self._times(u, self._support(v))
-
-    def _support(self, v):
-        """The nonzero entries of v as (code, coefficient), in basis order."""
-        return [(self.codes[j], b) for j, b in enumerate(v) if b]
-
-    def _times(self, u, support_v, out=None):
-        """u times the vector with support support_v, added into out (a new
-        zero vector by default).  Both run in basis order, which is code
-        order, so the inner walk stops where the code of the product
-        reaches the cut, past degree d."""
-        out = [0] * self.dim if out is None else out
-        if not support_v:
-            return out
-        index, codes, cut = self.index, self.codes, self._cut
-        lowest = support_v[0][0]
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            code = codes[i]
-            room = cut - code
-            if room <= lowest:
-                break
-            for c, b in support_v:
-                if c >= room:
-                    break
-                out[index[code + c]] += a * b
+    def multiply(self, f, g):
+        """Product of two invariants: (FG)_mu is the sum over alpha <= mu of
+        prod_i C(mu_i, alpha_i) F_(sort alpha) G_(sort(mu - alpha)).  A table
+        built once per model holds these terms by the pair of coordinates
+        they read, so the walk skips the zero coordinates of f and g."""
+        if self._table is None:
+            self._table = self._product_table()
+        out = self.zero()
+        for a, pairs in zip(f, self._table):
+            if a:
+                for j, terms in pairs:
+                    b = g[j]
+                    if b:
+                        ab = a * b
+                        for k, c in terms:
+                            out[k] += c * ab
         return out
 
-    def gammas(self, images, top=None):
-        """gamma^0..gamma^top (top = d by default) of an orbit sum
-        z = sum_b ([b] - [0]) in the model, given by the coded images of
-        its weights b that `reduce` appends.  Since
-        gamma_t([b] - 1) = 1 + ([b] - 1)t, gamma^a(z) is the elementary
-        symmetric function e_a of the images u_b of [b] - [0], built by the
-        recurrence e_j += e_(j-1) u_b, one weight at a time, in place.  The
-        image of [b] less its constant 1 at code 0 is u_b, whose support
-        in basis order is its codes sorted."""
+    def _product_table(self):
+        """For each coordinate i, the pairs (j, [(k, C), ...]): the term
+        C F_i G_j of (FG)_mu for mu the k-th exponent, summed over the
+        alpha <= mu whose sort alpha and sort(mu - alpha) are the i-th and
+        j-th exponents.  Every other alpha adds 0, as an invariant vanishes
+        at the exponents whose sorted form is not dominant."""
+        index = {mu: j for j, mu in enumerate(self.exponents)}
+        table = [{} for _ in self.exponents]
+        for k, mu in enumerate(self.exponents):
+            for alpha in product(*(range(m + 1) for m in mu)):
+                i = index.get(tuple(sorted(alpha, reverse=True)))
+                j = index.get(tuple(sorted((m - a for m, a in zip(mu, alpha)), reverse=True)))
+                if i is not None and j is not None:
+                    terms = table[i].setdefault(j, {})
+                    terms[k] = terms.get(k, 0) + prod(map(comb, mu, alpha))
+        return [[(j, list(terms.items())) for j, terms in sorted(row.items())] for row in table]
+
+    def gammas(self, z, top=None):
+        """f_0..f_top (top = d by default), f_a = a! gamma^a(z), for the
+        image z of a character sum_b m_b ([b] - [0]).  gamma^a(z) is the
+        elementary symmetric function e_a of the images u_b = e^(b.x) - 1,
+        taken with multiplicity, and Newton's identity gives
+        f_a = sum_(i=1..a) (-1)^(i-1) (a-1)!/(a-i)! f_(a-i) P_i from the
+        power sums P_k = sum_b m_b u_b^k.  The degree-m part of P_k is
+        k! S(m, k) z_m, S the Stirling numbers of the second kind, as
+        (e^t - 1)^k has degree-m part k! S(m, k) t^m / m!; k! S(m, k)
+        counts the maps of an m-set onto a k-set, which satisfy
+        k! S(m, k) = k ((k-1)! S(m-1, k-1) + k! S(m-1, k))."""
         top = self.d if top is None else min(top, self.d)
-        es = [self.unit()] + [self.zero() for _ in range(top)]
-        for seen, image in enumerate(images, 1):
-            u = sorted(image.items())[1:]
-            for j in range(min(seen, top), 0, -1):
-                self._times(es[j - 1], u, es[j])
-        return es
+        onto = [[1] + [0] * self.d]  # onto[k][m] = k! S(m, k)
+        for k in range(1, top + 1):
+            onto.append([0])
+            for m in range(1, self.d + 1):
+                onto[k].append(k * (onto[k - 1][m - 1] + onto[k][m - 1]))
+        powers = [[row[m] * c for m, c in zip(self.degrees, z)] for row in onto]
+        fs = [self.unit()]
+        for a in range(1, top + 1):
+            f = self.zero()
+            for i in range(1, a + 1):
+                c = (-1) ** (i - 1) * factorial(a - 1) // factorial(a - i)
+                term = powers[a] if i == a else self.multiply(fs[a - i], powers[i])  # f_0 = 1
+                f = [v + c * w for v, w in zip(f, term)]
+            fs.append(f)
+        return fs
 
     def orbit_sums(self):
-        """The orbit sums that one scan of the box [-d, d]^n keeps, each as
-        the list of the coded images of its nonzero weights (the input of
-        `gammas`).  The scan runs once per model."""
-        return self._scan()[0]
+        """The images of the orbit sums z = sum_(b in Wa) ([b] - [0]) that
+        one scan keeps, in its order: the dominant weights a of [-d, d]^n by
+        increasing |a|_1, each sum kept when its image is independent of
+        those kept before.  The images lie in the augmentation-zero
+        invariants, of dimension dim - 1, so the scan stops there; the kept
+        images span those of every orbit sum in the box, so gamma monomials
+        over the kept sums span the same subspaces (Fulton-Lang,
+        Riemann-Roch Algebra, ch. I-III).  The scan runs once per model,
+        and one that ends short is a defect."""
+        if self._sums is None:
+            g, n = self.group, self.rank
+            zero = (0,) * n
+            span, kept = Subspace(self.dim), []
+            for a in dominant_weights(g, self.d):
+                if span.dim == self.dim - 1:
+                    break
+                orb = orbit(g, a)
+                image = self.reduce(VirtualCharacter(n, {**dict.fromkeys(orb, 1), zero: -len(orb)}))
+                rank = span.dim
+                span._insert(image)
+                if span.dim > rank:
+                    kept.append(image)
+            if span.dim < self.dim - 1:
+                raise ReductionDefectError(
+                    f"the orbit sums of {g} span fewer than its invariants of "
+                    f"degree <= {self.d}: wrong exponent table"
+                )
+            self._sums = kept
+        return self._sums
 
     def invariant_subspace(self, p=0):
-        """W-invariant vectors supported on basis monomials of degree >= p.
-        The invariants are the span of the unit and the images of the orbit
-        sums that one scan of the box [-d, d]^n keeps, built once per model.
-        The monomials of degree >= p are a suffix of the basis, and as each
-        row of the canonical form is zero in the other pivot columns, the
-        invariants vanishing before the suffix are spanned by the rows that
-        pivot inside it."""
-        invariants = self._scan()[1]
-        start = next((j for j, k in enumerate(self.degrees) if k >= p), self.dim)
-        suffix = Subspace(self.dim)
-        suffix._rows.update(
-            (piv, row) for piv, row in invariants._rows.items() if piv >= start
+        """The invariants of filtration degree >= p: ch sends r^p onto
+        degree >= p, so they are spanned by the coordinate vectors of the
+        exponents of degree >= p."""
+        space = Subspace(self.dim)
+        space._rows.update(
+            (j, [int(i == j) for i in range(self.dim)])
+            for j, k in enumerate(self.degrees)
+            if k >= p
         )
-        return suffix
-
-    def _scan(self):
-        """(the kept orbit sums, the W-invariant subspace), from one scan
-        per model; a scan that ends short of the invariant count is a
-        defect."""
-        if self._scanned is None:
-            sums, images = _independent_orbit_sums(self)
-            if images.dim + 1 < _invariant_count(self.group, self.d):
-                raise ReductionDefectError(
-                    f"the orbit sums of {self.group} span fewer than its "
-                    f"invariants of degree <= {self.d}: wrong degree table"
-                )
-            images._insert(self.unit())
-            self._scanned = sums, images
-        return self._scanned
-
-
-def _invariant_count(g, d):
-    """Number of W-invariant polynomials of degree <= d: the monomials in
-    free generators of the degrees `invariant_degrees` gives (Chevalley),
-    counted by weighted degree."""
-    counts = [1] + [0] * d
-    for deg in invariant_degrees(g):
-        for s in range(deg, d + 1):
-            counts[s] += counts[s - deg]
-    return sum(counts)
-
-
-def _independent_orbit_sums(model):
-    """Orbit sums z = sum_b ([b] - [0]) of the dominant weights in
-    [-d, d]^n, by increasing |a|_1, each kept when its model image raises
-    the rank, with the span of the kept images.  A kept sum is the list of
-    the images of its weights that `reduce` built for its own image; those
-    of the other sums are dropped.  The images lie in the
-    augmentation-zero invariants, so the scan stops at their dimension,
-    the invariant count less one.  The kept images span those of every
-    orbit sum in the box, so gamma monomials over the kept sums span the
-    same subspaces (Fulton-Lang, Riemann-Roch Algebra, ch. I-III)."""
-    g, n = model.group, model.rank
-    zero = (0,) * n
-    target = _invariant_count(g, model.d) - 1
-    images = Subspace(model.dim)
-    kept = []
-    for a in dominant_weights(g, model.d):
-        if images.dim == target:
-            break
-        orb = orbit(g, a)
-        z = VirtualCharacter(n, {**dict.fromkeys(orb, 1), zero: -len(orb)})
-        rank, weights = images.dim, []
-        images._insert(model.reduce(z, weights))
-        if images.dim > rank:
-            kept.append(weights)
-    return kept, images
+        return space
 
 
 def _gamma_filtration(model, sums, p_max):
     """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the orbit sums
-    `sums` (each as the images of its weights, see `gammas`), in one
-    forward pass.  Each sum gives gamma^1..gamma^top at once
-    (top = min(max(p_max, 1), d)).  Every product of two or more factors
-    splits into factors of weights a <= p/2 and p - a, so Gamma^p is
-    spanned by gamma^p and the products of the rows of Gamma^a and
-    Gamma^(p-a), a <= p/2, both built before it; at 2a = p the pairs i <= j
-    of rows suffice.  Gamma^0 is the unit with Gamma^1.  Past d, Gamma^p
-    lies in r^p, which is zero in the model, so the list stops at
-    p = min(p_max, d) and no product is formed past d."""
+    `sums` (the input of `model.gammas`), in one forward pass.  Each sum
+    gives gamma^1..gamma^top at once (top = min(max(p_max, 1), d)).  Every
+    product of two or more factors splits into factors of weights a <= p/2
+    and p - a, so Gamma^p is spanned by gamma^p and the products of the
+    rows of Gamma^a and Gamma^(p-a), a <= p/2, both built before it; at
+    2a = p the pairs i <= j of rows suffice.  Gamma^0 is the unit with
+    Gamma^1.  Past d, Gamma^p lies in r^p, which is zero in the model, so
+    the list stops at p = min(p_max, d) and no product is formed past d."""
     top = min(max(p_max, 1), model.d)
     spans = [Subspace(model.dim) for _ in range(top + 1)]
-    for images in sums:
-        for span, value in zip(spans[1:], model.gammas(images, top)[1:]):
+    for z in sums:
+        for span, value in zip(spans[1:], model.gammas(z, top)[1:]):
             span._insert(value)
     for p in range(2, top + 1):
         for a in range(1, p // 2 + 1):
-            right = [model._support(v) for v in spans[p - a].rows]
+            right = spans[p - a].rows
             for i, u in enumerate(spans[a].rows):
                 for v in right[i if 2 * a == p else 0 :]:
-                    spans[p]._insert(model._times(u, v))
+                    spans[p]._insert(model.multiply(u, v))
     spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
     return spans[: p_max + 1]
 
@@ -399,14 +393,7 @@ def verify_prop(g, p_max, d):
         equal = s_side == ambient
         witnesses = ()
         if not equal:
-            from fractions import Fraction  # here, not at the top: only a DIFFER needs it
-
-            # witnesses are reported as rational rows with pivot 1
-            witnesses = tuple(
-                tuple(Fraction(v, next(c for c in row if c)) for v in row)
-                for row in ambient.rows
-                if not s_side.contains(row)
-            )
+            witnesses = tuple(row for row in ambient.rows if not s_side.contains(row))
         entries.append(PropEntry(p, s_side.dim, ambient.dim, equal, witnesses))
     entries += [PropEntry(p, 0, 0, True, ()) for p in range(len(entries), p_max + 1)]
     return PropReport(

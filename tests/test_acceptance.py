@@ -27,10 +27,10 @@ from chernrep.graded import (
     total_chern,
 )
 from chernrep.invariants import evaluate, rewrite, symmetrize
-from chernrep.filtration_check import gamma_subspace_invariant, verify_prop
+from chernrep.filtration_check import TruncatedAlgebra, gamma_subspace_invariant, verify_prop
 from chernrep.reps import standard
 from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, GroupSpec, invariant_degrees
-from filtration_oracle import full_box_context
+from filtration_oracle import ch_subspace, full_box_context
 from series_oracle import adams_via_series, chern_class, series_product
 
 
@@ -219,9 +219,10 @@ def test_criterion_7_filtration_comparison():
     for g, p_max, d in cases:
         report = verify_prop(g, p_max, d)
         assert report.passed, report.to_json_obj()
+        model = TruncatedAlgebra(g, d)
         for p in range(p_max + 1):
             full = full_box_context(g, d, d + 1, top=p)
-            assert gamma_subspace_invariant(g, p, d) == full[p]
+            assert gamma_subspace_invariant(g, p, d) == ch_subspace(model, full[p])
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(f"criterion 7 (filtration comparison + stability, {elapsed:.2f}s): PASS")

@@ -306,6 +306,7 @@ wrapped = {n for n in layers for v in vars(sys.modules[n]).values()
 model = chernrep.filtration_check.TruncatedAlgebra
 methods = [m for m in vars(model) if hasattr(getattr(model, m), "__wrapped__")]
 chernrep.cli.run(["chern", "GL2", "std"], io.StringIO(), io.StringIO())
+chernrep.cli.run(["check-prop", "GL3", "--p-max", "4", "--degree", "4"], io.StringIO(), io.StringIO())
 spans = {span[0] for span in recorder.spans}
 print(json.dumps([layers, sorted(wrapped), sorted(methods), sorted(spans)]))
 """
@@ -325,6 +326,7 @@ def test_start_up_imports_no_dataclasses_or_json():
     assert traced <= set(layers) and traced <= set(wrapped)
     assert methods == ["invariant_subspace", "multiply", "reduce"]
     assert {"weyl.parse_group", "graded.total_chern"} <= set(spans)
+    assert {"filtration_check.reduce", "filtration_check.multiply"} <= set(spans)
     loaded, proc = _imports("-m", "chernrep", "chern", "GL2", "std")
     assert proc.stdout == "1 + x1 + x2 + x1*x2\n"
     assert "json" not in loaded - bare

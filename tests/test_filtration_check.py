@@ -8,31 +8,43 @@ from fractions import Fraction
 
 import pytest
 
-from chernrep.char_ring import VirtualCharacter, gamma_series
+from chernrep.char_ring import VirtualCharacter, augmentation, gamma_series
 from chernrep.cli import run
 from chernrep import filtration_check
-from chernrep.errors import ModelSizeError, RankMismatchError, ReductionDefectError
+from chernrep.errors import (
+    InvarianceError,
+    ModelSizeError,
+    RankMismatchError,
+    ReductionDefectError,
+)
 from chernrep.filtration_check import (
     PropEntry,
     PropReport,
     Subspace,
     TruncatedAlgebra,
     _gamma_filtration,
-    _invariant_count,
     gamma_subspace_invariant,
     verify_prop,
 )
 from chernrep.weyl import (
+    FAMILIES,
     GL,
     SO_EVEN,
     SO_ODD,
     SP,
     TORUS,
     GroupSpec,
+    dominant_weights,
     orbit,
     weyl_generators,
 )
-from filtration_oracle import full_box_context, orbit_sum_generators, weight_images
+from filtration_oracle import (
+    UModel,
+    ch_subspace,
+    full_box_context,
+    invariant_count,
+    orbit_sum_generators,
+)
 
 rng = random.Random(31337)
 
@@ -49,9 +61,16 @@ def kept_filtration(g, d):
 
 
 def test_model_dimensions():
-    assert TruncatedAlgebra(GroupSpec(TORUS, 1), 3).dim == 4
-    assert TruncatedAlgebra(GroupSpec(GL, 2), 2).dim == 6
-    assert TruncatedAlgebra(GroupSpec(GL, 3), 4).dim == 35
+    """The u-model has the C(n + d, n) monomials of degree <= d, the model
+    one coordinate per dominant exponent."""
+    for (family, rank, d), (u_dim, dim) in {
+        (TORUS, 1, 3): (4, 4),
+        (GL, 2, 2): (6, 4),
+        (GL, 3, 4): (35, 11),
+    }.items():
+        g = GroupSpec(family, rank)
+        assert UModel(g, d).dim == u_dim
+        assert TruncatedAlgebra(g, d).dim == dim
 
 
 def test_model_size_guard():
@@ -60,12 +79,13 @@ def test_model_size_guard():
 
 
 def test_basis_order_is_code_order():
-    """Basis monomials run by degree, then lex, and their codes increase
-    strictly in that order, which `multiply` relies on to stop its walks."""
+    """The u-model's basis monomials run by degree, then lex, and their
+    codes increase strictly in that order, which its `multiply` relies on
+    to stop its walks."""
     for family in (GL, SP, SO_ODD, SO_EVEN, TORUS):
         for rank in (1, 2, 3):
             for d in range(1, 5):
-                model = TruncatedAlgebra(GroupSpec(family, rank), d)
+                model = UModel(GroupSpec(family, rank), d)
                 assert all(a < b for a, b in zip(model.codes, model.codes[1:]))
                 keys = [(sum(m), m) for m in model.monomials]
                 assert keys == sorted(keys)
@@ -81,9 +101,10 @@ def test_reduction_of_basis_generator_power():
 
 
 def test_reduction_is_multiplicative():
+    """The u-model's reduce, on characters that need not be invariant."""
     for name_rank, d in [((GL, 2), 3), ((SP, 2), 3)]:
         g = GroupSpec(*name_rank)
-        model = TruncatedAlgebra(g, d)
+        model = UModel(g, d)
         for _ in range(25):
             x = V(
                 g.rank,
@@ -223,9 +244,10 @@ def test_report_json_schema():
 
 def test_generator_bound_stability_small():
     g = GroupSpec(GL, 2)
+    model = TruncatedAlgebra(g, 3)
     for p in range(4):
         full = full_box_context(g, 3, 4, top=p)
-        assert gamma_subspace_invariant(g, p, 3) == full[p]
+        assert gamma_subspace_invariant(g, p, 3) == ch_subspace(model, full[p])
 
 
 def test_orbit_sum_generators_one_per_orbit():
@@ -243,16 +265,83 @@ def test_orbit_sum_generators_one_per_orbit():
         assert set(supports) == expected
 
 
+def orbit_sum_combination(g, terms):
+    """sum m (sum of [b] over the orbit of a) over the pairs (a, m)."""
+    x = VirtualCharacter.zero(g.rank)
+    for a, m in terms:
+        x = x + VirtualCharacter.from_weights(g.rank, orbit(g, a)) * m
+    return x
+
+
+def _for_invariant_characters(check, max_examples):
+    """Run check(model, x, y) on the model of a random group of rank 1-3
+    (every family) and degree d <= 5, and two random W-invariant characters:
+    sums of orbit sums of weights in [-2, 2]^n, multiplicities -3..3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def case(family, rank, d):
+        g = GroupSpec(family, rank)
+        weight = st.tuples(*[st.integers(-2, 2)] * rank)
+        char = st.lists(st.tuples(weight, st.integers(-3, 3)), max_size=2).map(
+            lambda terms: orbit_sum_combination(g, terms)
+        )
+        return st.tuples(st.just(TruncatedAlgebra(g, d)), char, char)
+
+    @hypothesis.settings(deadline=None, max_examples=max_examples)
+    @hypothesis.given(
+        st.tuples(st.sampled_from(FAMILIES), st.integers(1, 3), st.integers(1, 5)).flatmap(
+            lambda t: case(*t)
+        )
+    )
+    def run_check(args):
+        check(*args)
+
+    run_check()
+
+
+def test_reduce_is_a_ring_homomorphism():
+    """ch is a ring homomorphism: the product of two images is the image of
+    the product."""
+
+    def check(model, x, y):
+        assert model.multiply(model.reduce(x), model.reduce(y)) == model.reduce(x * y)
+
+    _for_invariant_characters(check, 150)
+
+
 def test_gammas_match_gamma_series():
-    """The model's e_a(u_b) against the character-side gamma operation."""
-    for family in (GL, SP, SO_EVEN):
-        g = GroupSpec(family, 2)
-        for d in range(1, 5):
-            model = TruncatedAlgebra(g, d)
-            for z in orbit_sum_generators(g, d):
-                es = model.gammas(weight_images(model, z))
-                for a in range(d + 1):
-                    assert es[a] == model.reduce(gamma_series(z, a)[a])
+    """The model's a! gamma^a by Newton's identity against the
+    character-side gamma operation, on characters of augmentation zero."""
+
+    def check(model, x, y):
+        z = x - VirtualCharacter.unit(model.rank) * augmentation(x)
+        fs, series = model.gammas(model.reduce(z)), gamma_series(z, model.d)
+        for a, f in enumerate(fs):
+            assert f == [math.factorial(a) * v for v in model.reduce(series[a])]
+
+    _for_invariant_characters(check, 100)
+
+
+def test_reduce_refuses_a_character_the_weyl_group_moves():
+    model = TruncatedAlgebra(GroupSpec(GL, 2), 2)
+    with pytest.raises(InvarianceError):
+        model.reduce(V(2, {(1, 0): 1}))
+
+
+def test_exponent_count_is_chevalleys():
+    """The dominant exponents of degree <= d run by degree, are
+    non-increasing, and are as many as the W-invariant polynomials of
+    degree <= d in free generators of the family's degrees."""
+    for family in FAMILIES:
+        for rank in range(1, 7):
+            g = GroupSpec(family, rank)
+            for d in range(1, 11):
+                exponents = TruncatedAlgebra(g, d).exponents
+                assert len(exponents) == invariant_count(g, d), (g, d)
+                assert len(set(exponents)) == len(exponents)
+                assert [sum(mu) for mu in exponents] == sorted(sum(mu) for mu in exponents)
+                assert all(list(mu) == sorted(mu, reverse=True) for mu in exponents)
 
 
 def action_columns(model, w):
@@ -290,9 +379,9 @@ def _kernel(equations, ncols):
 
 
 def kernel_invariants(model):
-    """The kernel route, the oracle for `invariant_subspace`: for each
-    p = 0..d+1, the joint kernel of the stacked (M_w - 1) over the Weyl
-    generators and of the coordinates of basis degree < p."""
+    """The kernel route in the u-model, the oracle for `invariant_subspace`:
+    for each p = 0..d+1, the joint kernel of the stacked (M_w - 1) over the
+    Weyl generators and of the coordinates of basis degree < p."""
     stacked = []
     for w in weyl_generators(model.group):
         cols = action_columns(model, w)
@@ -334,21 +423,16 @@ INVARIANT_DIMS = {
 
 
 def test_invariant_subspace_by_degree():
+    """Dimensions and support; that the rows are the invariants is
+    `test_invariants_equal_the_kernel_route`."""
     for (family, d), dims in INVARIANT_DIMS.items():
         g = GroupSpec(family, 2)
         model = TruncatedAlgebra(g, d)
-        matrices = [action_columns(model, w) for w in weyl_generators(g)]
         for p, dim in enumerate(dims):
             sub = model.invariant_subspace(p)
             assert sub.dim == dim
             for row in sub.rows:
                 assert not any(c for c, k in zip(row, model.degrees) if k < p)
-                for cols in matrices:
-                    image = [
-                        sum(v * col[i] for v, col in zip(row, cols))
-                        for i in range(model.dim)
-                    ]
-                    assert image == list(row)
 
 
 def test_verify_prop_rank_three_and_four_at_degree_four():
@@ -365,17 +449,17 @@ def test_gamma_spans_stop_at_p_max(monkeypatch):
     d = 4
     gammas, tops = TruncatedAlgebra.gammas, []
 
-    def recorded(self, images, top=None):
+    def recorded(self, z, top=None):
         tops.append(top)
-        return gammas(self, images, top)
+        return gammas(self, z, top)
 
     monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded)
     for family in (GL, SP, SO_EVEN):
         g = GroupSpec(family, 2)
         model, full = kept_filtration(g, d)
         sums = model.orbit_sums()
-        for images in sums:
-            assert model.gammas(images, 2) == model.gammas(images)[:3]
+        for z in sums:
+            assert model.gammas(z, 2) == model.gammas(z)[:3]
         for p_max in range(d + 1):
             tops.clear()
             spans = _gamma_filtration(model, sums, p_max)
@@ -474,10 +558,10 @@ def test_subspace_rejects_wrong_row_length():
         Subspace.from_vectors(3, [(1, 0)])
 
 
-def test_witness_is_rational_reduced_row(monkeypatch):
+def test_witness_is_a_coordinate_row(monkeypatch):
     """A forced DIFFER: the S side loses the last row of its canonical form,
-    so an ambient row becomes a witness, printed as the rational row with
-    pivot 1."""
+    so an ambient row becomes a witness: the coordinate vector of an
+    exponent, here mu = (1, 1) of SO4's (0, 0), (2, 0), (1, 1)."""
     full_spans = _gamma_filtration
 
     def smaller(model, sums, p_max):
@@ -487,16 +571,15 @@ def test_witness_is_rational_reduced_row(monkeypatch):
     monkeypatch.setattr(filtration_check, "_gamma_filtration", smaller)
     g = GroupSpec(SO_EVEN, 2)
     report = verify_prop(g, 1, 3)
-    half = Fraction(-1, 2)
-    witness = (0, 0, 0, 0, 1, 0, 0, half, half, 0)
+    witness = (0, 0, 1)
     assert [e.witnesses for e in report.entries] == [(witness,), (witness,)]
-    assert all(isinstance(v, Fraction) for v in report.entries[1].witnesses[0])
-    ambient = TruncatedAlgebra(g, 3).invariant_subspace(1)
-    assert ambient.contains([2 * v for v in witness])
+    model = TruncatedAlgebra(g, 3)
+    assert model.exponents == [(0, 0), (2, 0), (1, 1)]
+    assert model.invariant_subspace(1).contains(witness)
     out, err = io.StringIO(), io.StringIO()
     argv = ["check-prop", "SO4", "--p-max", "1", "--degree", "3"]
     assert run(argv, out=out, err=err) == 3
-    row = "['0', '0', '0', '0', '1', '0', '0', '-1/2', '-1/2', '0']"
+    row = "['0', '0', '1']"
     assert err.getvalue() == (
         f"error[verify-failed]: p=0 ambient vector outside Gamma^0(S): {row}\n"
         f"error[verify-failed]: p=1 ambient vector outside Gamma^1(S): {row}\n"
@@ -510,12 +593,14 @@ ORACLE_GROUPS = [
 
 
 def test_kept_generators_span_like_the_full_box():
+    """The model's spans over the kept sums against the u-model's over every
+    orbit sum of the box, carried through ch."""
     for family, rank in ORACLE_GROUPS:
         g = GroupSpec(family, rank)
         for d in range(1, 5):
-            kept, full = kept_filtration(g, d)[1], full_box_context(g, d)
+            (model, kept), full = kept_filtration(g, d), full_box_context(g, d)
             for p in range(d + 1):
-                assert kept[p] == full[p], (g, d, p)
+                assert kept[p] == ch_subspace(model, full[p]), (g, d, p)
 
 
 def test_kept_generators_are_independent_and_at_most_the_invariants():
@@ -524,8 +609,9 @@ def test_kept_generators_are_independent_and_at_most_the_invariants():
         for d in range(1, 5):
             model = TruncatedAlgebra(g, d)
             target = model.invariant_subspace(1).dim
+            images = model.orbit_sums()
             # gamma^1 of an orbit sum is its image
-            images = [model.gammas(sum_images, 1)[1] for sum_images in model.orbit_sums()]
+            assert [model.gammas(z, 1)[1] for z in images] == images
             assert Subspace.from_vectors(model.dim, images).dim == len(images)
             assert len(images) == target
 
@@ -566,9 +652,9 @@ def test_kept_spans_equal_full_box_spans_on_random_boxes():
         if family == TORUS:
             rank = min(rank, 2)
         g = GroupSpec(family, rank)
-        kept, full = kept_filtration(g, d)[1], full_box_context(g, d, d + extra)
+        (model, kept), full = kept_filtration(g, d), full_box_context(g, d, d + extra)
         for p in range(d + 1):
-            assert kept[p] == full[p]
+            assert kept[p] == ch_subspace(model, full[p])
 
     check()
 
@@ -580,29 +666,48 @@ KERNEL_GROUPS = [
 ]
 
 
-def test_invariants_from_the_scan_equal_the_kernel_route():
-    """The span of the unit and the kept orbit-sum images against the joint
-    kernel of (M_w - 1), for every p <= d + 1, and the invariant count
-    against the kernel's dimension."""
+def test_invariants_equal_the_kernel_route():
+    """The coordinates of degree >= p against the joint kernel of (M_w - 1)
+    in the u-model, carried through ch, for every p <= d + 1, and the
+    Chevalley count and the number of exponents against the kernel's
+    dimension."""
     for family, rank in KERNEL_GROUPS:
         g = GroupSpec(family, rank)
         for d in range(1, 6):
             model = TruncatedAlgebra(g, d)
-            oracle = kernel_invariants(model)
-            assert _invariant_count(g, d) == oracle[0].dim, (g, d)
+            oracle = kernel_invariants(UModel(g, d))
+            assert invariant_count(g, d) == len(model.exponents) == oracle[0].dim, (g, d)
             for p in range(d + 2):
-                assert model.invariant_subspace(p) == oracle[p], (g, d, p)
+                assert model.invariant_subspace(p) == ch_subspace(model, oracle[p]), (g, d, p)
+
+
+def test_model_equals_the_u_model_through_ch():
+    """Gamma^p and the invariants of degree >= p, for every p, in the model
+    and in the u-model carried through ch: the u-model's Gamma^p over every
+    orbit sum of the box and its invariants by the kernel route."""
+    groups = [(GL, 1), (GL, 2), (GL, 3), (SP, 2), (SP, 3), (SO_EVEN, 2), (SO_ODD, 2),
+              (SO_EVEN, 3), (SO_ODD, 3), (SO_EVEN, 4), (TORUS, 2)]
+    for family, rank in groups:
+        g = GroupSpec(family, rank)
+        for d in range(1, 5):
+            model, kept = kept_filtration(g, d)
+            full, invariants = full_box_context(g, d), kernel_invariants(UModel(g, d))
+            for p in range(d + 2):
+                assert model.invariant_subspace(p) == ch_subspace(model, invariants[p]), (g, d, p)
+                if p <= d:
+                    assert kept[p] == ch_subspace(model, full[p]), (g, d, p)
 
 
 def test_short_scan_is_a_defect(monkeypatch):
-    """A degree table that promises one invariant too many makes the scan
-    end short, which is refused as a defect."""
-    count = filtration_check._invariant_count
+    """A scan of too few dominant weights ends short of the invariants,
+    which is refused as a defect."""
     monkeypatch.setattr(
-        filtration_check, "_invariant_count", lambda g, d: count(g, d) + 1
+        filtration_check,
+        "dominant_weights",
+        lambda g, bound: itertools.islice(dominant_weights(g, bound), 1),
     )
     with pytest.raises(ReductionDefectError):
-        TruncatedAlgebra(GroupSpec(SP, 2), 3).invariant_subspace()
+        TruncatedAlgebra(GroupSpec(SP, 2), 4).orbit_sums()
     out, err = io.StringIO(), io.StringIO()
     assert run(["check-prop", "GL2", "--p-max", "2", "--degree", "3"], out, err) == 2
     assert out.getvalue() == ""
@@ -647,7 +752,7 @@ def test_product_spans_from_lower_pieces_match_all_splits():
     cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
     for g, d in cases + [(GroupSpec(GL, 3), 5)]:
         model, filtration = kept_filtration(g, d)
-        values = [model.gammas(images) for images in model.orbit_sums()]
+        values = [model.gammas(z) for z in model.orbit_sums()]
         gamma_spans = [
             Subspace.from_vectors(model.dim, [es[a] for es in values])
             for a in range(d + 1)
@@ -659,28 +764,37 @@ def test_product_spans_from_lower_pieces_match_all_splits():
 
 
 def _count_products(monkeypatch):
-    """A one-item list that counts the products formed from now on: the
-    `_times` calls without `out`, as the gamma recurrence adds into its own
-    vectors."""
-    times, count = TruncatedAlgebra._times, [0]
+    """A list [products, Newton products] that counts the `multiply` calls
+    from now on: those of the product stage, and those that Newton's
+    identity makes inside `gammas`."""
+    multiply, gammas, count, inside = TruncatedAlgebra.multiply, TruncatedAlgebra.gammas, [0, 0], [0]
 
-    def counted(self, u, support_v, out=None):
-        count[0] += out is None
-        return times(self, u, support_v, out)
+    def counted(self, f, g):
+        count[inside[0]] += 1
+        return multiply(self, f, g)
 
-    monkeypatch.setattr(TruncatedAlgebra, "_times", counted)
+    def recorded(self, z, top=None):
+        inside[0] = 1
+        try:
+            return gammas(self, z, top)
+        finally:
+            inside[0] = 0
+
+    monkeypatch.setattr(TruncatedAlgebra, "multiply", counted)
+    monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded)
     return count
 
 
 def test_product_spans_form_each_product_once(monkeypatch):
     """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
     split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
-    The products are the `_times` calls without `out`; the gamma
-    recurrence adds into its own vectors."""
+    Newton's identity adds 1 + 2 + 3 products for gamma^2..gamma^4 of each
+    of the 10 kept orbit sums."""
     model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
     count = _count_products(monkeypatch)
     _gamma_filtration(model, model.orbit_sums(), 4)
     assert 0 < count[0] <= 260
+    assert count[1] == 60
 
 
 def test_products_stop_at_the_truncation_degree(monkeypatch):
@@ -736,19 +850,20 @@ def test_check_prop_far_past_the_truncation_degree():
 
 def test_each_weight_is_reduced_once(monkeypatch):
     """The scan reduces each orbit sum once and keeps the images of the
-    weights of the sums it keeps; `gammas` reads them and reduces nothing."""
+    sums it keeps; `gammas` reads them and reduces nothing."""
     reduce, gammas = TruncatedAlgebra.reduce, TruncatedAlgebra.gammas
-    reduced, in_gammas = [], [False]
+    reduced, in_gammas, calls = [], [False], [0]
 
-    def recorded_reduce(self, x, images=None):
+    def recorded_reduce(self, x):
         assert not in_gammas[0], "gammas called reduce"
         reduced.extend(b for b in x.terms if any(b))
-        return reduce(self, x, images)
+        calls[0] += 1
+        return reduce(self, x)
 
-    def recorded_gammas(self, images, top=None):
+    def recorded_gammas(self, z, top=None):
         in_gammas[0] = True
         try:
-            return gammas(self, images, top)
+            return gammas(self, z, top)
         finally:
             in_gammas[0] = False
 
@@ -760,13 +875,14 @@ def test_each_weight_is_reduced_once(monkeypatch):
         assert verify_prop(g, d, d).passed
         assert len(reduced) == len(set(reduced))
         reduced.clear()
+        calls[0] = 0
         model = TruncatedAlgebra(g, d)
         sums = model.orbit_sums()
         assert model.orbit_sums() is sums
         _gamma_filtration(model, sums, d)
         assert model.invariant_subspace(1).dim == len(sums)
         assert len(reduced) == len(set(reduced))
-        assert 0 < sum(len(images) for images in sums) <= len(reduced)
+        assert 0 < len(sums) <= calls[0]
 
 
 @pytest.mark.parametrize(
@@ -777,12 +893,15 @@ def test_each_weight_is_reduced_once(monkeypatch):
         ("Sp10", "5", "fe03367025bba47c3e9d237c4958cb27"),
         ("SO10", "5", "afaf589ee361a641bb8046c3dc7161b4"),
         ("SO9", "4", "224bc13c992e46ace2dd5136f12b84c8"),
+        ("GL10", "5", "8be045b3a4f29bdddd05bc0c60f9cb79"),
+        ("GL6", "6", "f4231a1e79cb9a7648b9a0d7b7eb3a66"),
     ],
 )
 def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
     """Stdout md5: GL3 and GL5 recorded when every split a + (p - a) was
-    taken, and the Sp, SO cases of rank 4 and 5 when each Gamma^p was built
-    on first request."""
+    taken, the Sp, SO cases of rank 4 and 5 when each Gamma^p was built on
+    first request, and GL10, GL6 in the u-model, where they took about 9 s
+    and 2.4 s."""
     start = time.monotonic()
     out, err = io.StringIO(), io.StringIO()
     argv = ["check-prop", group, "--p-max", degree, "--degree", degree]
