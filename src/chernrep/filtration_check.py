@@ -38,12 +38,12 @@ integer rows and positive pivots, which is canonical, so subspace equality
 is literal equality.
 """
 
-from itertools import product
+from itertools import product, takewhile
 from math import comb, factorial, gcd, prod
 
-from .char_ring import VirtualCharacter
 from .errors import InvarianceError, RankMismatchError, ReductionDefectError, model_dimension
-from .weyl import GL, SO_EVEN, TORUS, _fixed_by_generators, _Record, dominant_weights, orbit
+from .weyl import GL, SO_EVEN, TORUS, GroupSpec, _fixed_by_generators, _orbit_size, _Record
+from .weyl import dominant_weights
 
 
 def _primitive(vec):
@@ -143,23 +143,11 @@ def _dominant_exponents(g, d):
     of them for GL and the torus, those with every part even where W
     changes signs, and for even SO, which changes an even number of signs,
     also those with every part odd."""
-    n = g.rank
-
-    def parts(k, s, top):
-        # the non-increasing k-tuples of sum s with entries <= top
-        if s > k * top:
-            return
-        if k == 0:
-            yield ()
-            return
-        for v in range(min(s, top), -1, -1):
-            for tail in parts(k - 1, s - v, v):
-                yield (v, *tail)
-
-    return [
+    weights = dominant_weights(GroupSpec(GL if g.family == TORUS else g.family, g.rank), d)
+    return [(0,) * g.rank] + [
         mu
-        for s in range(d + 1)
-        for mu in parts(n, s, s)
+        for mu in takewhile(lambda a: sum(map(abs, a)) <= d, weights)
+        if min(mu) >= 0
         if g.family in (GL, TORUS)
         or all(v % 2 == 0 for v in mu)
         or (g.family == SO_EVEN and all(v % 2 for v in mu))
@@ -183,7 +171,6 @@ class TruncatedAlgebra:
         self.dim = len(self.exponents)
         self.degrees = [sum(mu) for mu in self.exponents]
         self._table = None  # the product table, built on first use
-        self._sums = None  # the kept orbit-sum images, built on first use
 
     def zero(self):
         return [0] * self.dim
@@ -269,6 +256,24 @@ class TruncatedAlgebra:
             fs.append(f)
         return fs
 
+    def _orbit_sum_image(self, a):
+        """Image of z = sum_(b in Wa) ([b] - [0]), built without the orbit:
+        c_0 = 0 and c_mu = sum_(b in Wa) b^mu = |Wa| M_mu(a) / |S_n mu|, as
+        the sign changes of W fix x^mu for each exponent mu.  The monomial
+        symmetric function M_mu(a) is the coefficient of prod_j y_(mu_j) in
+        prod_i (1 + sum_k a_i^k y_k), expanded over parts of sum <= d."""
+        coeffs = {(): 1}  # non-increasing parts -> coefficient
+        for v in filter(None, a):
+            for parts, c in list(coeffs.items()):
+                for k in range(1, self.d - sum(parts) + 1):
+                    key = tuple(sorted((*parts, k), reverse=True))
+                    coeffs[key] = coeffs.get(key, 0) + c * v**k
+        size, gl = _orbit_size(self.group, a), GroupSpec(GL, self.rank)
+        return [0] + [
+            size * coeffs.get(tuple(filter(None, mu)), 0) // _orbit_size(gl, mu)
+            for mu in self.exponents[1:]
+        ]
+
     def orbit_sums(self):
         """The images of the orbit sums z = sum_(b in Wa) ([b] - [0]) that
         one scan keeps, in its order: the dominant weights a of [-d, d]^n by
@@ -277,28 +282,22 @@ class TruncatedAlgebra:
         invariants, of dimension dim - 1, so the scan stops there; the kept
         images span those of every orbit sum in the box, so gamma monomials
         over the kept sums span the same subspaces (Fulton-Lang,
-        Riemann-Roch Algebra, ch. I-III).  The scan runs once per model,
-        and one that ends short is a defect."""
-        if self._sums is None:
-            g, n = self.group, self.rank
-            zero = (0,) * n
-            span, kept = Subspace(self.dim), []
-            for a in dominant_weights(g, self.d):
-                if span.dim == self.dim - 1:
-                    break
-                orb = orbit(g, a)
-                image = self.reduce(VirtualCharacter(n, {**dict.fromkeys(orb, 1), zero: -len(orb)}))
-                rank = span.dim
-                span._insert(image)
-                if span.dim > rank:
-                    kept.append(image)
-            if span.dim < self.dim - 1:
-                raise ReductionDefectError(
-                    f"the orbit sums of {g} span fewer than its invariants of "
-                    f"degree <= {self.d}: wrong exponent table"
-                )
-            self._sums = kept
-        return self._sums
+        Riemann-Roch Algebra, ch. I-III).  A short scan is a defect."""
+        span, kept = Subspace(self.dim), []
+        for a in dominant_weights(self.group, self.d):
+            if span.dim == self.dim - 1:
+                break
+            image = self._orbit_sum_image(a)
+            rank = span.dim
+            span._insert(image)
+            if span.dim > rank:
+                kept.append(image)
+        if span.dim < self.dim - 1:
+            raise ReductionDefectError(
+                f"the orbit sums of {self.group} span fewer than its invariants of "
+                f"degree <= {self.d}: wrong exponent table"
+            )
+        return kept
 
     def invariant_subspace(self, p=0):
         """The invariants of filtration degree >= p: ch sends r^p onto

@@ -10,7 +10,7 @@ import pytest
 
 from chernrep.char_ring import VirtualCharacter, augmentation, gamma_series
 from chernrep.cli import run
-from chernrep import filtration_check
+from chernrep import filtration_check, weyl
 from chernrep.errors import (
     InvarianceError,
     ModelSizeError,
@@ -329,6 +329,29 @@ def test_reduce_refuses_a_character_the_weyl_group_moves():
         model.reduce(V(2, {(1, 0): 1}))
 
 
+def test_orbit_sum_images_match_reduce_of_the_orbit():
+    """The closed form c_mu = |Wa| M_mu(a) / |S_n mu| against `reduce` of
+    the orbit sum built with `orbit`, for every dominant weight of small
+    boxes in every family: SO2's Weyl group is trivial, even SO's dominant
+    weights include a negative last coordinate, and a torus closes its
+    orbits as GL does, so `check-prop T2` keeps GL2's dims 4/3/2."""
+    cases = [(f, r, d) for f in FAMILIES for r in (1, 2, 3) for d in (1, 2, 3, 4)]
+    cases += [(GL, 4, 4), (SP, 4, 3), (SO_ODD, 4, 3), (SO_EVEN, 4, 4)]
+    negative_last = 0
+    for family, rank, d in cases:
+        model = TruncatedAlgebra(GroupSpec(family, rank), d)
+        for a in dominant_weights(model.group, d):
+            orb = orbit(model.group, a)
+            z = V(rank, {**dict.fromkeys(orb, 1), (0,) * rank: -len(orb)})
+            assert model._orbit_sum_image(a) == model.reduce(z), (model.group, d, a)
+            negative_last += family == SO_EVEN and a[-1] < 0
+    assert negative_last
+    torus, gl = (TruncatedAlgebra(GroupSpec(f, 2), 3) for f in (TORUS, GL))
+    assert torus._orbit_sum_image((1, -1)) == gl._orbit_sum_image((1, -1)) != torus.zero()
+    dims = [e.dim_gamma_S for e in verify_prop(GroupSpec(TORUS, 2), 2, 2).entries]
+    assert dims == [4, 3, 2]
+
+
 def test_exponent_count_is_chevalleys():
     """The dominant exponents of degree <= d run by degree, are
     non-increasing, and are as many as the W-invariant polynomials of
@@ -342,6 +365,8 @@ def test_exponent_count_is_chevalleys():
                 assert len(set(exponents)) == len(exponents)
                 assert [sum(mu) for mu in exponents] == sorted(sum(mu) for mu in exponents)
                 assert all(list(mu) == sorted(mu, reverse=True) for mu in exponents)
+                # witness rows are coordinate rows: by degree, then decreasing lex
+                assert exponents == sorted(exponents, key=lambda mu: (sum(mu), [-v for v in mu]))
 
 
 def action_columns(model, w):
@@ -699,13 +724,9 @@ def test_model_equals_the_u_model_through_ch():
 
 
 def test_short_scan_is_a_defect(monkeypatch):
-    """A scan of too few dominant weights ends short of the invariants,
+    """A scan whose images span too little ends short of the invariants,
     which is refused as a defect."""
-    monkeypatch.setattr(
-        filtration_check,
-        "dominant_weights",
-        lambda g, bound: itertools.islice(dominant_weights(g, bound), 1),
-    )
+    monkeypatch.setattr(TruncatedAlgebra, "_orbit_sum_image", lambda self, a: self.zero())
     with pytest.raises(ReductionDefectError):
         TruncatedAlgebra(GroupSpec(SP, 2), 4).orbit_sums()
     out, err = io.StringIO(), io.StringIO()
@@ -848,41 +869,25 @@ def test_check_prop_far_past_the_truncation_degree():
             )
 
 
-def test_each_weight_is_reduced_once(monkeypatch):
-    """The scan reduces each orbit sum once and keeps the images of the
-    sums it keeps; `gammas` reads them and reduces nothing."""
-    reduce, gammas = TruncatedAlgebra.reduce, TruncatedAlgebra.gammas
-    reduced, in_gammas, calls = [], [False], [0]
+def test_check_prop_acts_with_no_weyl_group(monkeypatch):
+    """check-prop builds no orbit, no character and no Weyl-group action:
+    the orbit-sum images come from a closed form, and `reduce`, which
+    checks that a caller's character is invariant, is never called."""
 
-    def recorded_reduce(self, x):
-        assert not in_gammas[0], "gammas called reduce"
-        reduced.extend(b for b in x.terms if any(b))
-        calls[0] += 1
-        return reduce(self, x)
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-prop acted with the Weyl group")
 
-    def recorded_gammas(self, z, top=None):
-        in_gammas[0] = True
-        try:
-            return gammas(self, z, top)
-        finally:
-            in_gammas[0] = False
-
-    monkeypatch.setattr(TruncatedAlgebra, "reduce", recorded_reduce)
-    monkeypatch.setattr(TruncatedAlgebra, "gammas", recorded_gammas)
-    for family, rank, d in [(GL, 3, 4), (SP, 2, 4), (SO_EVEN, 3, 3)]:
-        g = GroupSpec(family, rank)
-        reduced.clear()
-        assert verify_prop(g, d, d).passed
-        assert len(reduced) == len(set(reduced))
-        reduced.clear()
-        calls[0] = 0
-        model = TruncatedAlgebra(g, d)
-        sums = model.orbit_sums()
-        assert model.orbit_sums() is sums
-        _gamma_filtration(model, sums, d)
-        assert model.invariant_subspace(1).dim == len(sums)
-        assert len(reduced) == len(set(reduced))
-        assert 0 < len(sums) <= calls[0]
+    monkeypatch.setattr(weyl, "orbit", refuse)
+    monkeypatch.setattr(weyl, "weyl_generators", refuse)
+    monkeypatch.setattr(weyl.SignedPermutation, "act", refuse)
+    monkeypatch.setattr(filtration_check, "_fixed_by_generators", refuse)
+    monkeypatch.setattr(TruncatedAlgebra, "reduce", refuse)
+    monkeypatch.setattr(VirtualCharacter, "__init__", refuse)
+    monkeypatch.setattr(VirtualCharacter, "_trusted", refuse)
+    for family, rank, d in [(GL, 3, 4), (SP, 2, 4), (SO_ODD, 3, 3), (SO_EVEN, 3, 3), (TORUS, 2, 2)]:
+        assert verify_prop(GroupSpec(family, rank), d, d).passed
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["check-prop", "SO8", "--p-max", "4", "--degree", "4"], out, err) == 0, err.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -895,13 +900,19 @@ def test_each_weight_is_reduced_once(monkeypatch):
         ("SO9", "4", "224bc13c992e46ace2dd5136f12b84c8"),
         ("GL10", "5", "8be045b3a4f29bdddd05bc0c60f9cb79"),
         ("GL6", "6", "f4231a1e79cb9a7648b9a0d7b7eb3a66"),
+        ("GL10", "6", "397c20f0b449f72370b43d36e765a6a4"),
+        ("GL12", "6", "61bfe350e16b8c4add730894d4fcc481"),
+        ("GL100", "2", "c1fad9483ff3d2d7364f8c8680fa6515"),
     ],
 )
 def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
     """Stdout md5: GL3 and GL5 recorded when every split a + (p - a) was
     taken, the Sp, SO cases of rank 4 and 5 when each Gamma^p was built on
-    first request, and GL10, GL6 in the u-model, where they took about 9 s
-    and 2.4 s."""
+    first request, GL10 5/5 and GL6 in the u-model, where they took about
+    9 s and 2.4 s, and GL10 6/6, GL12 6/6 and GL100 2/2 when the orbit
+    sums were closed with `orbit` (3.7 s for GL10; GL12 and GL100 were
+    refused at the enumeration limit and took 10.4 s and 6.3 s with it
+    raised to 10^12)."""
     start = time.monotonic()
     out, err = io.StringIO(), io.StringIO()
     argv = ["check-prop", group, "--p-max", degree, "--degree", degree]
