@@ -34,7 +34,7 @@ _PUBLIC = {
         "parse_rep", "rep_to_character",
     ),
     "reps": ("assert_g_rep", "dual", "exterior", "standard", "symmetric"),
-    "weyl": ("GroupSpec", "SignedPermutation", "orbit", "parse_group", "weyl_generators"),
+    "weyl": ("GroupSpec", "orbit", "parse_group"),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_LAYER_OF)
@@ -45,23 +45,35 @@ _RUNNING = set()
 
 
 class _Layer(types.ModuleType):
-    """A layer whose code has not run yet.  The first attribute lookup runs
-    it once, under one lock for all layers, so a thread that looks a name up
-    meanwhile waits for the whole layer (the stdlib `LazyLoader` takes no
-    lock before Python 3.13).  Lookups that the running code makes on its
-    own module, as in an import cycle, see the module as it stands."""
+    """A layer whose code has not run yet.  The first attribute lookup,
+    assignment or deletion runs it once, under one lock for all layers, so a
+    thread that looks a name up meanwhile waits for the whole layer (the
+    stdlib `LazyLoader` takes no lock before Python 3.13), and a name set
+    before the run is not reset by it.  Lookups that the running code makes
+    on its own module, as in an import cycle, see the module as it stands."""
 
-    def __getattribute__(self, attr):
+    def _run(self):
         with _LOCK:
             spec = types.ModuleType.__getattribute__(self, "__spec__")
             if type(self) is _Layer and spec.name not in _RUNNING:
                 _RUNNING.add(spec.name)
                 try:
                     spec.loader.exec_module(self)
-                    self.__class__ = types.ModuleType
+                    types.ModuleType.__setattr__(self, "__class__", types.ModuleType)
                 finally:
                     _RUNNING.discard(spec.name)
+
+    def __getattribute__(self, attr):
+        _Layer._run(self)
         return types.ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _Layer._run(self)
+        types.ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _Layer._run(self)
+        types.ModuleType.__delattr__(self, attr)
 
 
 def _lazy(layer):

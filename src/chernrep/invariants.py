@@ -28,20 +28,13 @@ from .char_ring import _code, _decode, _product
 from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial
 from .graded import _terms_json, _terms_text
 from .reps import standard
-from .weyl import (
-    SO_EVEN,
-    TORUS,
-    _fixed_by_generators,
-    invariant_degrees,
-    orbit,
-    weyl_generators,
-)
+from .weyl import SO_EVEN, TORUS, _fixed_by_generators, _images, invariant_degrees, orbit
 
 
 def _monomial(v):
     """(|v|, sign) for a signed exponent vector v: x^e goes under a Weyl
-    element w to sign * x^|v| with v = w.act(e), as x_j goes to +-x_i, and
-    sign = (-1)^(sum of the negative entries of v)."""
+    element w to sign * x^|v| with v the image of e under w, as x_j goes to
+    +-x_i, and sign = (-1)^(sum of the negative entries of v)."""
     return tuple(map(abs, v)), -1 if sum(k for k in v if k < 0) % 2 else 1
 
 
@@ -223,13 +216,12 @@ def rewrite(f, g):
         code: c.numerator * (scale // c.denominator)
         for code, c in _coded(f.terms, base).items()
     }
-    generators = weyl_generators(g)
     out = {}
     while rest:
         lead = max(rest)
         exps = _decode(lead, n + 1, base)[1:]
         gaps = [a - b for a, b in zip(exps, exps[1:] + (0,))]
-        images = (_monomial(w.act(exps)) for w in generators)
+        images = map(_monomial, _images(g, exps))
         if any(gap < 0 or gap % s for gap, s in zip(gaps, steps)) or any(
             rest.get(_code((sum(e), *e), base)) != sign * rest[lead] for e, sign in images
         ):

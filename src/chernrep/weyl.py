@@ -1,5 +1,5 @@
-"""Classical group descriptors, their text form, and Weyl groups as signed
-permutations.
+"""Classical group descriptors, their text form, and the action of their
+Weyl groups on integer tuples.
 
 `parse_group` reads a group spec ("GL3", "Sp4", "SO5", "T2") into the
 `GroupSpec` it names.
@@ -8,9 +8,10 @@ Weights live in the character lattice Z^n of a maximal torus and are plain
 integer tuples.  Weyl groups of the four classical families are realized
 concretely: permutations for GL(n), all signed permutations for Sp(2l) and
 SO(2l+1), and evenly-signed permutations for SO(2l), acting in the standard
-coordinates of the lattice.  W acts only through its generators, on integer
-tuples: orbits are closed under them and invariance is checked on them; no
-element of W beyond a generator is ever built.
+coordinates of the lattice.  W acts only through its generators:
+`_images` yields the images of an integer tuple under them, orbits are
+closed under them and invariance is checked on them; no element of W is
+ever built.
 """
 
 import re
@@ -131,41 +132,11 @@ def parse_group(text):
     return GroupSpec(SO_EVEN, num // 2)
 
 
-class SignedPermutation(_Record):
-    """perm[j] is the image slot of slot j; signs[i] multiplies slot i."""
-
-    __slots__ = ("perm", "signs")
-
-    def __init__(self, perm, signs):
-        super().__init__(perm, signs)
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
-            raise ValueError("not a signed permutation")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(range(n)), (1,) * n)
-
-    def act(self, coords):
-        """Send weight a to w.a: coordinate perm[j] of the result is
-        signs[perm[j]] * a[j]."""
-        if len(coords) != len(self.perm):
-            raise RankMismatchError(
-                f"weight length {len(coords)} != rank {len(self.perm)}"
-            )
-        out = [0] * len(coords)
-        for i, a in zip(self.perm, coords):
-            out[i] = self.signs[i] * a
-        return tuple(out)
-
-
 def invariant_degrees(g):
     """Degrees of the free generators of the W-invariant polynomials
     (Chevalley): 1..n for GL, 2, 4, ..., 2n for Sp and odd SO, and
     2, ..., 2n-2 and the Pfaffian's n for even SO.  A torus gets GL's
-    degrees, because `weyl_generators` gives it the adjacent transpositions."""
+    degrees, because `_images` gives it the adjacent transpositions."""
     n = g.rank
     if g.family in (GL, TORUS):
         return tuple(range(1, n + 1))
@@ -174,39 +145,28 @@ def invariant_degrees(g):
     return (*range(2, 2 * n - 1, 2), n)
 
 
-def weyl_generators(g):
-    """A small generating set: adjacent transpositions plus, where the family
-    has them, one sign-flip pattern (last slot for Sp/SOodd, last two slots
-    for SOeven)."""
-    n = g.rank
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(SignedPermutation(tuple(perm), (1,) * n))
-    ident = tuple(range(n))
+def _images(g, v):
+    """The images of the integer tuple v under the Weyl generators of g:
+    each adjacent transposition, then the sign change of the family, of
+    the last slot for Sp and odd SO and of the last two for even SO.  A
+    torus gets GL's transpositions; GL1, T1 and SO2 have no generator."""
+    for i in range(len(v) - 1):
+        yield (*v[:i], v[i + 1], v[i], *v[i + 2:])
     if g.family in (SP, SO_ODD):
-        signs = [1] * n
-        signs[n - 1] = -1
-        gens.append(SignedPermutation(ident, tuple(signs)))
-    elif g.family == SO_EVEN and n >= 2:
-        signs = [1] * n
-        signs[n - 1] = -1
-        signs[n - 2] = -1
-        gens.append(SignedPermutation(ident, tuple(signs)))
-    if not gens:  # rank-1 torus-like cases still need a group
-        gens.append(SignedPermutation.identity(n))
-    return gens
+        yield (*v[:-1], -v[-1])
+    elif g.family == SO_EVEN and len(v) >= 2:
+        yield (*v[:-2], -v[-2], -v[-1])
 
 
 def _fixed_by_generators(terms, g, key):
-    """True iff every Weyl generator w of g fixes the finitely supported
-    map terms: for each term (v, c), key(w.act(v)) is a pair (k, s) with
-    terms[k] == s * c, s = +-1.  As key is injective, this is terms equal
-    to its image under w, looked up term by term."""
-    for w in weyl_generators(g):
-        for v, c in terms.items():
-            k, s = key(w.act(v))
+    """True iff every Weyl generator of g fixes the finitely supported map
+    terms: for each term (v, c) and each image u of v in `_images`, key(u)
+    is a pair (k, s) with terms[k] == s * c, s = +-1.  As key is
+    injective, this is terms equal to its image under each generator,
+    looked up term by term."""
+    for v, c in terms.items():
+        for u in _images(g, v):
+            k, s = key(u)
             if terms.get(k) != (c if s > 0 else -c):
                 return False
     return True
@@ -246,7 +206,7 @@ def dominant_weights(g, bound):
 def _orbit_size(g, a):
     """Size of the closure of a under the Weyl generators: the arrangements
     of the coordinates (of their absolute values where W changes signs)
-    times the sign patterns W allows.  A torus's generators include the
+    times the sign patterns W allows.  `_images` gives a torus the
     adjacent transpositions, so its orbits close as those of GL do."""
     signed = g.family not in (GL, TORUS)
     values = [abs(v) for v in a] if signed else a
@@ -268,9 +228,8 @@ def orbit(g, a):
     the |W.a| weights, n coordinates at a time."""
     if len(a) != g.rank:
         raise RankMismatchError(f"weight length {len(a)} != rank {g.rank}")
-    gens = weyl_generators(g)
     size = _orbit_size(g, a)
-    moves = size * len(gens) * len(a)
+    moves = size * sum(1 for _ in _images(g, a)) * len(a)
     if moves > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"closing the orbit of {tuple(a)} ({size} weights) moves {moves} "
@@ -281,8 +240,7 @@ def orbit(g, a):
     while frontier:
         nxt = []
         for b in frontier:
-            for w in gens:
-                c = w.act(b)
+            for c in _images(g, b):
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)

@@ -428,6 +428,30 @@ def test_threads_that_first_reach_a_layer_at_once_see_it_whole():
         assert _child(_THREAD_PROBE) == expected
 
 
+_LIMIT_PROBE = """
+import io, json
+from chernrep import errors, weyl
+errors.MODEL_DIM_LIMIT = 5
+weyl.ENUMERATION_LIMIT = 5
+from chernrep.cli import run
+err = io.StringIO()
+code = run(["ch", "GL3", "std", "--max-degree", "3"], io.StringIO(), err)
+try:
+    refused = len(weyl.orbit(weyl.GroupSpec(weyl.GL, 3), (2, 1, 0)))
+except errors.ChernRepError as exc:
+    refused = exc.code
+print(json.dumps([code, err.getvalue(), refused, errors.MODEL_DIM_LIMIT, weyl.ENUMERATION_LIMIT]))
+"""
+
+
+def test_a_limit_set_before_its_layer_runs_is_kept():
+    """Assigning a limit on a layer that has not run yet runs the layer
+    first, so the layer's code does not reset the limit afterwards."""
+    assert _child(_LIMIT_PROBE) == [
+        2, "error[model-size]: model dimension 20 exceeds limit 5\n", "enumeration-limit", 5, 5,
+    ]
+
+
 def test_json_outputs_are_deterministic():
     for argv in (
         ["chern", "GL2", "std", "--json"],

@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import io
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -34,9 +36,9 @@ from chernrep.weyl import (
     SP,
     TORUS,
     GroupSpec,
+    _images,
     dominant_weights,
     orbit,
-    weyl_generators,
 )
 from filtration_oracle import (
     UModel,
@@ -369,9 +371,10 @@ def test_exponent_count_is_chevalleys():
                 assert exponents == sorted(exponents, key=lambda mu: (sum(mu), [-v for v in mu]))
 
 
-def action_columns(model, w):
-    """Columns of M_w built on the character side: the image of the basis
-    monomial u^m is the reduction of prod_i ([w.e_i] - [0])^(m_i)."""
+def action_columns(model, images):
+    """Columns of M_w built on the character side, where images[i] is
+    w.e_i: the image of the basis monomial u^m is the reduction of
+    prod_i ([w.e_i] - [0])^(m_i)."""
     n = model.rank
     zero = (0,) * n
     cols = []
@@ -379,8 +382,7 @@ def action_columns(model, w):
         char = VirtualCharacter.unit(n)
         for i, k in enumerate(m):
             if k:
-                e = tuple(int(j == i) for j in range(n))
-                char = char * V(n, {w.act(e): 1, zero: -1}) ** k
+                char = char * V(n, {images[i]: 1, zero: -1}) ** k
         cols.append(model.reduce(char))
     return cols
 
@@ -407,9 +409,11 @@ def kernel_invariants(model):
     """The kernel route in the u-model, the oracle for `invariant_subspace`:
     for each p = 0..d+1, the joint kernel of the stacked (M_w - 1) over the
     Weyl generators and of the coordinates of basis degree < p."""
+    n = model.rank
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     stacked = []
-    for w in weyl_generators(model.group):
-        cols = action_columns(model, w)
+    for images in zip(*(_images(model.group, e) for e in units)):
+        cols = action_columns(model, images)
         for i in range(model.dim):
             eq = [col[i] for col in cols]
             eq[i] -= 1
@@ -878,8 +882,7 @@ def test_check_prop_acts_with_no_weyl_group(monkeypatch):
         raise AssertionError("check-prop acted with the Weyl group")
 
     monkeypatch.setattr(weyl, "orbit", refuse)
-    monkeypatch.setattr(weyl, "weyl_generators", refuse)
-    monkeypatch.setattr(weyl.SignedPermutation, "act", refuse)
+    monkeypatch.setattr(weyl, "_images", refuse)
     monkeypatch.setattr(filtration_check, "_fixed_by_generators", refuse)
     monkeypatch.setattr(TruncatedAlgebra, "reduce", refuse)
     monkeypatch.setattr(VirtualCharacter, "__init__", refuse)
@@ -923,15 +926,23 @@ def test_check_prop_heavier_cases_keep_their_output(group, degree, digest):
 
 
 def test_prop_records_are_immutable_values():
-    entry = PropEntry(1, 2, 2, True, ())
-    assert entry.witnesses == ()
-    assert entry == PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=())
-    assert entry != PropEntry(1, 2, 2, True, ((1, 0),))
+    entry = PropEntry(1, 2, 2, True, ((1, 0),))
+    assert entry.witnesses == ((1, 0),)
+    same = PropEntry(witnesses=((1, 0),), equal=True, dim_gamma_R_cap_S=2, dim_gamma_S=2, p=1)
+    assert entry == same and hash(entry) == hash(same) and len({entry, same}) == 1
+    assert entry != PropEntry(1, 2, 2, True, ()) and entry != (1, 2, 2, True, ((1, 0),))
+    for field in entry.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(entry, field, getattr(entry, field))
+        with pytest.raises(AttributeError):
+            delattr(entry, field)
+    assert copy.deepcopy(entry) == entry
+    assert pickle.loads(pickle.dumps(entry)) == entry
     report = PropReport(group="GL2", d=2, entries=(entry,), passed=True)
     assert report == PropReport("GL2", 2, (entry,), True)
     assert report.to_json_obj()["pass"] is True
     assert repr(entry) == (
-        "PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=())"
+        "PropEntry(p=1, dim_gamma_S=2, dim_gamma_R_cap_S=2, equal=True, witnesses=((1, 0),))"
     )
     with pytest.raises(AttributeError):
         report.passed = False

@@ -1,18 +1,41 @@
 """The whole Weyl group, element by element: the test oracle for the
 generator action of `chernrep.weyl`, `is_invariant` and `symmetrize`.
 
-The library never builds an element of W beyond a generator.  Here every
-element is listed, composed and inverted, and a polynomial is averaged over
-all of them by direct substitution, so each check against this module takes
-an independent route.
+The library never builds an element of W; it moves integer tuples by the
+generators alone.  Here every element is a signed permutation of its own
+type, listed, composed and inverted, and a polynomial is averaged over all
+of them by direct substitution, so each check against this module takes an
+independent route.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
 
 from chernrep.graded import SymbolicPolynomial
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, SignedPermutation
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """perm[j] is the image slot of slot j; signs[i] multiplies slot i.
+    Equal, and hashed alike, when perm and signs are."""
+
+    perm: tuple
+    signs: tuple
+
+    @classmethod
+    def identity(cls, n):
+        return cls(tuple(range(n)), (1,) * n)
+
+    def act(self, coords):
+        """Send weight a to w.a: coordinate perm[j] of the result is
+        signs[perm[j]] * a[j]."""
+        out = [0] * len(coords)
+        for i, a in zip(self.perm, coords):
+            out[i] = self.signs[i] * a
+        return tuple(out)
 
 
 def weyl_order(g):
