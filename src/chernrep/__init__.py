@@ -34,7 +34,7 @@ _PUBLIC = {
         "parse_rep", "rep_to_character",
     ),
     "reps": ("assert_g_rep", "dual", "exterior", "standard", "symmetric"),
-    "weyl": ("GroupSpec", "orbit", "parse_group"),
+    "weyl": ("GroupSpec", "parse_group"),
 }
 _LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_LAYER_OF)

@@ -6,8 +6,9 @@ Every error carries a short machine-readable ``code`` so the CLI can emit
 
 from math import comb
 
-# Truncated polynomial spaces (the filtration model, symbol maps and Chern
-# products) are refused beyond this many monomials.
+# Truncated polynomial spaces (the filtration model, symbol maps, Chern
+# products), the output of `symmetrize` and a `check-prop` report are
+# refused by `within_limit` beyond this many monomials or entries.
 MODEL_DIM_LIMIT = 20000
 
 
@@ -19,23 +20,22 @@ class RankMismatchError(ChernRepError):
     code = "rank-mismatch"
 
 
-class EnumerationLimitError(ChernRepError):
-    """Raised when a full Weyl-group enumeration would exceed the guard."""
-
-    code = "enumeration-limit"
-
-
 class ModelSizeError(ChernRepError):
     code = "model-size"
+
+
+def within_limit(count, what):
+    """count, the predicted size of `what`, which the caller has not built
+    yet; refused with ModelSizeError beyond MODEL_DIM_LIMIT."""
+    if count > MODEL_DIM_LIMIT:
+        raise ModelSizeError(f"{what} {count} exceeds limit {MODEL_DIM_LIMIT}")
+    return count
 
 
 def model_dimension(rank, degree):
     """Number C(rank + degree, rank) of monomials in `rank` variables of
     total degree <= degree; refused beyond MODEL_DIM_LIMIT before any work."""
-    dim = comb(rank + degree, rank)
-    if dim > MODEL_DIM_LIMIT:
-        raise ModelSizeError(f"model dimension {dim} exceeds limit {MODEL_DIM_LIMIT}")
-    return dim
+    return within_limit(comb(rank + degree, rank), "model dimension")
 
 
 class AugmentationError(ChernRepError):

@@ -15,20 +15,18 @@ ch [a] = e^(a.x), a character x = sum_a m_a [a] has c_mu = sum_a m_a a^mu.
 Inside the model two subspaces are built per degree p and compared:
 
   * the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k), sum a_j = p,
-    with the z's running over Weyl-orbit sums z = sum_b ([b] - [0]) whose
-    images are a basis of the augmentation-zero invariants, kept by one
-    scan of the dominant weights: over Q, gamma^a(x) modulo r^(d+1) depends
-    only on the image of x.  As gamma_t([b] - 1) = 1 + ([b] - 1)t,
-    gamma^a(z) is the elementary symmetric function e_a of the images
-    u_b = e^(b.x) - 1, which Newton's identity builds from their power sums
-    P_k = sum_b u_b^k; the degree-m part of P_k is k! S(m, k) z_m, with S
-    the Stirling numbers of the second kind.  A product of two or more
-    factors splits into two of weights a <= p/2 and p - a, and
-    Gamma^a Gamma^b lies in Gamma^(a+b), so the span is gamma^p plus
-    Gamma^a Gamma^(p-a) for a <= p/2 only, and Gamma^0..Gamma^d come from
-    one forward pass: gamma^1..gamma^top of each sum at once, then each
-    Gamma^p from the pieces below it.  Gamma^p lies in r^p, so for p > d it
-    is zero in the model and no product is formed;
+    with the z's running over the coordinate vectors of degree >= 1, a
+    basis of the augmentation-zero invariants.  As
+    gamma_t(z) = exp(sum_k (-1)^(k-1) P_k(z) t^k / k) and the degree-m part
+    of P_k(z) is k! S(m, k) z_m (S the Stirling numbers of the second
+    kind), linear in z, gamma_t(z + w) = gamma_t(z) gamma_t(w) and
+    gamma_t(qz) = gamma_t(z)^q: Gamma^p is the same for every basis.  A
+    product of two or more factors splits into two of weights a <= p/2 and
+    p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so the span is gamma^p
+    plus Gamma^a Gamma^(p-a) for a <= p/2 only, built in one forward pass:
+    gamma^1..gamma^top of each generator, then each Gamma^p from the
+    pieces below it.  Gamma^p lies in r^p, so for p > d it is zero in the
+    model and no product is formed;
   * the invariants of filtration degree >= p, the image of r^p cut down to
     the invariants: the span of the coordinates of degree >= p.
 
@@ -38,12 +36,12 @@ integer rows and positive pivots, which is canonical, so subspace equality
 is literal equality.
 """
 
-from itertools import product, takewhile
+from itertools import product
 from math import comb, factorial, gcd, prod
 
 from .errors import InvarianceError, RankMismatchError, ReductionDefectError, model_dimension
-from .weyl import GL, SO_EVEN, TORUS, GroupSpec, _fixed_by_generators, _orbit_size, _Record
-from .weyl import dominant_weights
+from .errors import within_limit
+from .weyl import _carries_invariant, _fixed_by_generators, _Record
 
 
 def _primitive(vec):
@@ -137,21 +135,25 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _partitions(n, s, top):
+    """The non-increasing n-tuples of non-negative integers of sum s and
+    parts at most top, in descending order: the first part v runs down
+    from min(s, top) to the least for which n parts of at most v reach s.
+    The recursion takes one level per nonzero part."""
+    if not s:
+        yield (0,) * n
+        return
+    for v in range(min(s, top), -(-s // n) - 1, -1):
+        for tail in _partitions(n - 1, s - v, v):
+            yield (v, *tail)
+
+
 def _dominant_exponents(g, d):
-    """The exponents mu, |mu| <= d, whose orbit sums span the W-invariant
-    polynomials of degree <= d, as non-increasing n-tuples, by degree: all
-    of them for GL and the torus, those with every part even where W
-    changes signs, and for even SO, which changes an even number of signs,
-    also those with every part odd."""
-    weights = dominant_weights(GroupSpec(GL if g.family == TORUS else g.family, g.rank), d)
-    return [(0,) * g.rank] + [
-        mu
-        for mu in takewhile(lambda a: sum(map(abs, a)) <= d, weights)
-        if min(mu) >= 0
-        if g.family in (GL, TORUS)
-        or all(v % 2 == 0 for v in mu)
-        or (g.family == SO_EVEN and all(v % 2 for v in mu))
-    ]
+    """The exponents mu, |mu| <= d, of the monomials whose averages over W
+    are nonzero (`_carries_invariant`) and span the invariants of degree
+    <= d: non-increasing n-tuples, by degree, then in descending order."""
+    exponents = (mu for s in range(d + 1) for mu in _partitions(g.rank, s, s))
+    return [mu for mu in exponents if _carries_invariant(g, mu)]
 
 
 class TruncatedAlgebra:
@@ -256,49 +258,6 @@ class TruncatedAlgebra:
             fs.append(f)
         return fs
 
-    def _orbit_sum_image(self, a):
-        """Image of z = sum_(b in Wa) ([b] - [0]), built without the orbit:
-        c_0 = 0 and c_mu = sum_(b in Wa) b^mu = |Wa| M_mu(a) / |S_n mu|, as
-        the sign changes of W fix x^mu for each exponent mu.  The monomial
-        symmetric function M_mu(a) is the coefficient of prod_j y_(mu_j) in
-        prod_i (1 + sum_k a_i^k y_k), expanded over parts of sum <= d."""
-        coeffs = {(): 1}  # non-increasing parts -> coefficient
-        for v in filter(None, a):
-            for parts, c in list(coeffs.items()):
-                for k in range(1, self.d - sum(parts) + 1):
-                    key = tuple(sorted((*parts, k), reverse=True))
-                    coeffs[key] = coeffs.get(key, 0) + c * v**k
-        size, gl = _orbit_size(self.group, a), GroupSpec(GL, self.rank)
-        return [0] + [
-            size * coeffs.get(tuple(filter(None, mu)), 0) // _orbit_size(gl, mu)
-            for mu in self.exponents[1:]
-        ]
-
-    def orbit_sums(self):
-        """The images of the orbit sums z = sum_(b in Wa) ([b] - [0]) that
-        one scan keeps, in its order: the dominant weights a of [-d, d]^n by
-        increasing |a|_1, each sum kept when its image is independent of
-        those kept before.  The images lie in the augmentation-zero
-        invariants, of dimension dim - 1, so the scan stops there; the kept
-        images span those of every orbit sum in the box, so gamma monomials
-        over the kept sums span the same subspaces (Fulton-Lang,
-        Riemann-Roch Algebra, ch. I-III).  A short scan is a defect."""
-        span, kept = Subspace(self.dim), []
-        for a in dominant_weights(self.group, self.d):
-            if span.dim == self.dim - 1:
-                break
-            image = self._orbit_sum_image(a)
-            rank = span.dim
-            span._insert(image)
-            if span.dim > rank:
-                kept.append(image)
-        if span.dim < self.dim - 1:
-            raise ReductionDefectError(
-                f"the orbit sums of {self.group} span fewer than its invariants of "
-                f"degree <= {self.d}: wrong exponent table"
-            )
-        return kept
-
     def invariant_subspace(self, p=0):
         """The invariants of filtration degree >= p: ch sends r^p onto
         degree >= p, so they are spanned by the coordinate vectors of the
@@ -313,8 +272,8 @@ class TruncatedAlgebra:
 
 
 def _gamma_filtration(model, sums, p_max):
-    """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the orbit sums
-    `sums` (the input of `model.gammas`), in one forward pass.  Each sum
+    """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the generators
+    `sums` (the inputs of `model.gammas`), in one forward pass.  Each one
     gives gamma^1..gamma^top at once (top = min(max(p_max, 1), d)).  Every
     product of two or more factors splits into factors of weights a <= p/2
     and p - a, so Gamma^p is spanned by gamma^p and the products of the
@@ -339,13 +298,14 @@ def _gamma_filtration(model, sums, p_max):
 
 def gamma_subspace_invariant(g, p, d):
     """Image in the truncated model of the degree-p piece of the gamma
-    filtration of the invariant subring; zero for p > d."""
+    filtration of the invariant subring, generated by the coordinate
+    vectors of degree >= 1; zero for p > d."""
     if p < 0:
         raise ValueError("filtration degree p must be >= 0")
     model = TruncatedAlgebra(g, d)
     if p > d:
         return Subspace(model.dim)
-    return _gamma_filtration(model, model.orbit_sums(), p)[p]
+    return _gamma_filtration(model, model.invariant_subspace(1).rows, p)[p]
 
 
 class PropEntry(_Record):
@@ -377,12 +337,14 @@ def verify_prop(g, p_max, d):
     with the restricted ambient one.  The inclusion of the former in the
     latter must hold outright; equality failures are reported with the
     offending ambient basis vectors.  Past d both are zero in the model,
-    so those entries are equal at dimension 0 without any work."""
+    so those entries are equal at dimension 0 without any work.  More than
+    MODEL_DIM_LIMIT entries are refused with ModelSizeError first."""
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
     model = TruncatedAlgebra(g, d)
+    within_limit(p_max + 1, "report entry count")
     entries = []
-    for p, s_side in enumerate(_gamma_filtration(model, model.orbit_sums(), p_max)):
+    for p, s_side in enumerate(_gamma_filtration(model, model.invariant_subspace(1).rows, p_max)):
         ambient = model.invariant_subspace(p)
         if not ambient.contains_subspace(s_side):
             raise ReductionDefectError(

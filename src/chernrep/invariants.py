@@ -15,20 +15,22 @@ same for every family, in integers on monomial codes; evaluate substitutes
 them back and is the round-trip oracle.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 
 from .errors import (
     InvarianceError,
     NoCanonicalGeneratorsError,
     RankMismatchError,
     ReductionDefectError,
+    within_limit,
 )
 from .char_ring import _code, _decode, _product
 from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial
 from .graded import _terms_json, _terms_text
 from .reps import standard
-from .weyl import SO_EVEN, TORUS, _fixed_by_generators, _images, invariant_degrees, orbit
+from .weyl import SO_EVEN, TORUS, _carries_invariant, _fixed_by_generators, _images, invariant_degrees
 
 
 def _monomial(v):
@@ -52,23 +54,45 @@ def _check_rank(f, g):
         raise RankMismatchError(f"polynomial rank {f.rank} != torus rank {g.rank}")
 
 
+def _arrangements(e):
+    """The distinct rearrangements of the tuple e in ascending order, each
+    the next permutation of the one before (Narayana Pandita)."""
+    a = sorted(e)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
 def symmetrize(f, g):
     """Average of f over the Weyl group; projects onto the invariants.
 
-    Each term c x^e averages over the orbit O of its exponent vector:
-    c / |O| * sum of the monomials of O, signed by `_monomial`, so terms
-    that W negates cancel.  A torus's W is trivial and f is returned; the
-    orbit guard is the only refusal."""
+    The average of c x^e is 0 where a sign change of W negates x^e
+    (`_carries_invariant`), and otherwise c / |S_n e| times the sum of x^u
+    over the distinct rearrangements u of e.  A torus's W is trivial and f
+    is returned.  An output of more than MODEL_DIM_LIMIT monomials in all,
+    sum |S_n e|, is refused with ModelSizeError before any is built."""
     _check_rank(f, g)
     if g.family == TORUS:
         return f
+    sizes = {
+        e: factorial(len(e)) // prod(map(factorial, Counter(e).values()))
+        for e in f.terms
+        if _carries_invariant(g, e)
+    }
+    within_limit(sum(sizes.values()), "symmetrized monomial count")
     terms = {}
-    for e, c in f.terms.items():
-        vectors = orbit(g, e)
-        share = c / len(vectors)
-        for v in vectors:
-            key, sign = _monomial(v)
-            terms[key] = terms.get(key, 0) + sign * share
+    for e, size in sizes.items():
+        for u in _arrangements(e):
+            terms[u] = terms.get(u, 0) + f.terms[e] / size
     return SymbolicPolynomial(f.rank, terms)
 
 

@@ -9,16 +9,15 @@ integer tuples.  Weyl groups of the four classical families are realized
 concretely: permutations for GL(n), all signed permutations for Sp(2l) and
 SO(2l+1), and evenly-signed permutations for SO(2l), acting in the standard
 coordinates of the lattice.  W acts only through its generators:
-`_images` yields the images of an integer tuple under them, orbits are
-closed under them and invariance is checked on them; no element of W is
-ever built.
+`_images` yields the images of an integer tuple under them and invariance
+is checked on them.  No element of W is ever built and no orbit is closed:
+`_carries_invariant` says from the exponent alone where the average of a
+monomial over W is nonzero.
 """
 
 import re
-from itertools import groupby
-from math import factorial
 
-from .errors import EnumerationLimitError, ParseError, RankMismatchError
+from .errors import ParseError
 
 GL = "GL"
 SP = "Sp"
@@ -27,9 +26,6 @@ SO_EVEN = "SOeven"
 TORUS = "Torus"
 
 FAMILIES = (GL, SP, SO_ODD, SO_EVEN, TORUS)
-
-# The closure of an orbit is refused beyond this many coordinate moves.
-ENUMERATION_LIMIT = 10**6
 
 
 class _Record:
@@ -136,7 +132,7 @@ def invariant_degrees(g):
     """Degrees of the free generators of the W-invariant polynomials
     (Chevalley): 1..n for GL, 2, 4, ..., 2n for Sp and odd SO, and
     2, ..., 2n-2 and the Pfaffian's n for even SO.  A torus gets GL's
-    degrees, because `_images` gives it the adjacent transpositions."""
+    degrees, as `_images` and `_carries_invariant` treat it as GL."""
     n = g.rank
     if g.family in (GL, TORUS):
         return tuple(range(1, n + 1))
@@ -172,77 +168,12 @@ def _fixed_by_generators(terms, g, key):
     return True
 
 
-def dominant_weights(g, bound):
-    """The nonzero dominant weights in the box [-bound, bound]^n, one per
-    Weyl orbit, by increasing |a|_1: non-increasing coordinates for GL,
-    a_1 >= ... >= a_n >= 0 for Sp and odd SO, a_1 >= ... >= a_(n-1) >= |a_n|
-    for even SO, and every weight for a torus."""
-    n, family = g.rank, g.family
-
-    def tails(k, s, top):
-        # the last k coordinates, of absolute sum s, after the coordinate top
-        if k == 0:
-            yield ()
-            return
-        if family == TORUS:
-            lo, hi = -bound, bound
-        elif family == GL:
-            lo, hi = -bound, top
-        elif family == SO_EVEN and k == 1:
-            lo, hi = -top, top
-        else:
-            lo, hi = 0, top
-        for v in range(hi, lo - 1, -1):
-            rest = s - abs(v)
-            # every later coordinate is at most bound (GL, torus) or |v| in size
-            if 0 <= rest <= (k - 1) * (bound if family in (GL, TORUS) else abs(v)):
-                for tail in tails(k - 1, rest, v):
-                    yield (v, *tail)
-
-    for s in range(1, n * bound + 1):
-        yield from tails(n, s, bound)
-
-
-def _orbit_size(g, a):
-    """Size of the closure of a under the Weyl generators: the arrangements
-    of the coordinates (of their absolute values where W changes signs)
-    times the sign patterns W allows.  `_images` gives a torus the
-    adjacent transpositions, so its orbits close as those of GL do."""
-    signed = g.family not in (GL, TORUS)
-    values = [abs(v) for v in a] if signed else a
-    size = factorial(len(a))
-    for _, run in groupby(sorted(values)):
-        size //= factorial(len(list(run)))
-    if signed:
-        nonzero = sum(1 for v in a if v)
-        size <<= nonzero
-        if g.family == SO_EVEN and nonzero == len(a):
-            size >>= 1  # only even sign changes
-    return size
-
-
-def orbit(g, a):
-    """The set {w.a : w in W}, closed under the Weyl generators.  Refused
-    with EnumerationLimitError before any work when the closure would move
-    more than ENUMERATION_LIMIT coordinates: every generator moves each of
-    the |W.a| weights, n coordinates at a time."""
-    if len(a) != g.rank:
-        raise RankMismatchError(f"weight length {len(a)} != rank {g.rank}")
-    size = _orbit_size(g, a)
-    moves = size * sum(1 for _ in _images(g, a)) * len(a)
-    if moves > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"closing the orbit of {tuple(a)} ({size} weights) moves {moves} "
-            f"coordinates, exceeds enumeration limit {ENUMERATION_LIMIT}"
-        )
-    seen = {tuple(a)}
-    frontier = [tuple(a)]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for c in _images(g, b):
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
+def _carries_invariant(g, mu):
+    """True iff the average of x^mu over the Weyl group of g is nonzero,
+    that is iff no sign change of W negates x^mu: always for GL, when every
+    part is even for Sp and odd SO, and for even SO, whose sign changes
+    come in pairs, also when all n parts are odd.  A torus gets GL's rule,
+    as `_images` gives it GL's transpositions."""
+    if g.family in (GL, TORUS):
+        return True
+    return all(k % 2 == 0 for k in mu) or (g.family == SO_EVEN and all(k % 2 for k in mu))

@@ -7,10 +7,10 @@ modelled modulo r^(d+1), r the augmentation ideal: with u_i = [e_i] - [0]
 the quotient is the truncated polynomial algebra on u_1..u_n, with
 monomial basis of total degree <= d, and every character reduces exactly
 via [a] = prod (1 + u_i)^(a_i), expanded through generalized binomials.
-The gamma spans are built from every Weyl orbit of a whole box, not from
-the orbit sums that the library's scan keeps.  `to_ch` carries a u-model
-vector to the library's coordinates, so each check against this module
-takes an independent route.
+The gamma spans are built from one orbit sum per Weyl orbit of a whole
+box, not from the coordinate vectors that the library takes.  `to_ch`
+carries a u-model vector to the library's coordinates, so each check
+against this module takes an independent route.
 """
 
 import itertools
@@ -20,7 +20,8 @@ from math import factorial, prod
 from chernrep.char_ring import VirtualCharacter, _binomial_power, _code, _form, _product
 from chernrep.errors import RankMismatchError, model_dimension
 from chernrep.filtration_check import Subspace, TruncatedAlgebra, _gamma_filtration
-from chernrep.weyl import invariant_degrees, orbit
+from chernrep.weyl import invariant_degrees
+from weyl_oracle import orbit
 
 
 def u_monomials(n, d):

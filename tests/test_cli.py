@@ -430,25 +430,30 @@ def test_threads_that_first_reach_a_layer_at_once_see_it_whole():
 
 _LIMIT_PROBE = """
 import io, json
-from chernrep import errors, weyl
+from chernrep import errors, invariants
 errors.MODEL_DIM_LIMIT = 5
-weyl.ENUMERATION_LIMIT = 5
 from chernrep.cli import run
+from chernrep.graded import SymbolicPolynomial
+from chernrep.weyl import GL, GroupSpec
 err = io.StringIO()
 code = run(["ch", "GL3", "std", "--max-degree", "3"], io.StringIO(), err)
 try:
-    refused = len(weyl.orbit(weyl.GroupSpec(weyl.GL, 3), (2, 1, 0)))
+    f = SymbolicPolynomial(3, {(2, 1, 0): 1})
+    refused = len(invariants.symmetrize(f, GroupSpec(GL, 3)).terms)
 except errors.ChernRepError as exc:
-    refused = exc.code
-print(json.dumps([code, err.getvalue(), refused, errors.MODEL_DIM_LIMIT, weyl.ENUMERATION_LIMIT]))
+    refused = str(exc)
+print(json.dumps([code, err.getvalue(), refused, errors.MODEL_DIM_LIMIT]))
 """
 
 
 def test_a_limit_set_before_its_layer_runs_is_kept():
     """Assigning a limit on a layer that has not run yet runs the layer
-    first, so the layer's code does not reset the limit afterwards."""
+    first, so the layer's code does not reset the limit afterwards; the
+    CLI's model guard and `symmetrize`, whose 6 monomials are refused,
+    both read the lowered limit."""
     assert _child(_LIMIT_PROBE) == [
-        2, "error[model-size]: model dimension 20 exceeds limit 5\n", "enumeration-limit", 5, 5,
+        2, "error[model-size]: model dimension 20 exceeds limit 5\n",
+        "symmetrized monomial count 6 exceeds limit 5", 5,
     ]
 
 
@@ -490,18 +495,31 @@ def test_round_trip_through_parsers():
 
 
 def test_check_prop_gl10_ends_in_a_result():
-    """|W| = 10! is above the enumeration limit, but the model has
-    dimension 11 and every orbit the scan closes has 10 weights."""
+    """|W| = 10!, but check-prop closes no orbit and the model has
+    dimension 11.  GL19999 has the largest rank the size guard lets
+    through at degree 1; its exponent table once recursed once per slot
+    and ended in RecursionError from about GL990 on."""
+    for group in ("GL10", "GL19999"):
+        start = time.monotonic()
+        code, out, err = run_cli(["check-prop", group, "--p-max", "1", "--degree", "1"])
+        assert time.monotonic() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == (
+            f"group {group}  truncation degree 1\n"
+            "p=0  dim_gamma_S=2  dim_gamma_R_cap_S=2  equal\n"
+            "p=1  dim_gamma_S=1  dim_gamma_R_cap_S=1  equal\n"
+            "PASS\n"
+        )
+
+
+def test_check_prop_refuses_a_report_beyond_the_size_guard():
+    """One entry per p up to p_max: 10^8 + 1 entries are refused before
+    any work; keeping them would need about 20 GB."""
     start = time.monotonic()
-    code, out, err = run_cli(["check-prop", "GL10", "--p-max", "1", "--degree", "1"])
+    code, out, err = run_cli(["check-prop", "GL2", "--p-max", "100000000", "--degree", "2"])
     assert time.monotonic() - start < 1.0
-    assert (code, err) == (0, "")
-    assert out == (
-        "group GL10  truncation degree 1\n"
-        "p=0  dim_gamma_S=2  dim_gamma_R_cap_S=2  equal\n"
-        "p=1  dim_gamma_S=1  dim_gamma_R_cap_S=1  equal\n"
-        "PASS\n"
-    )
+    assert (code, out) == (2, "")
+    assert err == "error[model-size]: report entry count 100000001 exceeds limit 20000\n"
 
 
 def test_closed_pipe_ends_quietly():

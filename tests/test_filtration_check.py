@@ -17,7 +17,6 @@ from chernrep.errors import (
     InvarianceError,
     ModelSizeError,
     RankMismatchError,
-    ReductionDefectError,
 )
 from chernrep.filtration_check import (
     PropEntry,
@@ -37,8 +36,6 @@ from chernrep.weyl import (
     TORUS,
     GroupSpec,
     _images,
-    dominant_weights,
-    orbit,
 )
 from filtration_oracle import (
     UModel,
@@ -47,6 +44,7 @@ from filtration_oracle import (
     invariant_count,
     orbit_sum_generators,
 )
+from weyl_oracle import orbit
 
 rng = random.Random(31337)
 
@@ -56,10 +54,10 @@ def V(rank, terms):
 
 
 def kept_filtration(g, d):
-    """The model of degree d and [Gamma^0, ..., Gamma^d] over the orbit sums
-    its scan keeps."""
+    """The model of degree d and [Gamma^0, ..., Gamma^d] over its
+    generators, the coordinate vectors of degree >= 1."""
     model = TruncatedAlgebra(g, d)
-    return model, _gamma_filtration(model, model.orbit_sums(), d)
+    return model, _gamma_filtration(model, model.invariant_subspace(1).rows, d)
 
 
 def test_model_dimensions():
@@ -331,29 +329,6 @@ def test_reduce_refuses_a_character_the_weyl_group_moves():
         model.reduce(V(2, {(1, 0): 1}))
 
 
-def test_orbit_sum_images_match_reduce_of_the_orbit():
-    """The closed form c_mu = |Wa| M_mu(a) / |S_n mu| against `reduce` of
-    the orbit sum built with `orbit`, for every dominant weight of small
-    boxes in every family: SO2's Weyl group is trivial, even SO's dominant
-    weights include a negative last coordinate, and a torus closes its
-    orbits as GL does, so `check-prop T2` keeps GL2's dims 4/3/2."""
-    cases = [(f, r, d) for f in FAMILIES for r in (1, 2, 3) for d in (1, 2, 3, 4)]
-    cases += [(GL, 4, 4), (SP, 4, 3), (SO_ODD, 4, 3), (SO_EVEN, 4, 4)]
-    negative_last = 0
-    for family, rank, d in cases:
-        model = TruncatedAlgebra(GroupSpec(family, rank), d)
-        for a in dominant_weights(model.group, d):
-            orb = orbit(model.group, a)
-            z = V(rank, {**dict.fromkeys(orb, 1), (0,) * rank: -len(orb)})
-            assert model._orbit_sum_image(a) == model.reduce(z), (model.group, d, a)
-            negative_last += family == SO_EVEN and a[-1] < 0
-    assert negative_last
-    torus, gl = (TruncatedAlgebra(GroupSpec(f, 2), 3) for f in (TORUS, GL))
-    assert torus._orbit_sum_image((1, -1)) == gl._orbit_sum_image((1, -1)) != torus.zero()
-    dims = [e.dim_gamma_S for e in verify_prop(GroupSpec(TORUS, 2), 2, 2).entries]
-    assert dims == [4, 3, 2]
-
-
 def test_exponent_count_is_chevalleys():
     """The dominant exponents of degree <= d run by degree, are
     non-increasing, and are as many as the W-invariant polynomials of
@@ -486,7 +461,7 @@ def test_gamma_spans_stop_at_p_max(monkeypatch):
     for family in (GL, SP, SO_EVEN):
         g = GroupSpec(family, 2)
         model, full = kept_filtration(g, d)
-        sums = model.orbit_sums()
+        sums = model.invariant_subspace(1).rows
         for z in sums:
             assert model.gammas(z, 2) == model.gammas(z)[:3]
         for p_max in range(d + 1):
@@ -622,7 +597,7 @@ ORACLE_GROUPS = [
 
 
 def test_kept_generators_span_like_the_full_box():
-    """The model's spans over the kept sums against the u-model's over every
+    """The model's spans over its generators against the u-model's over every
     orbit sum of the box, carried through ch."""
     for family, rank in ORACLE_GROUPS:
         g = GroupSpec(family, rank)
@@ -633,16 +608,17 @@ def test_kept_generators_span_like_the_full_box():
 
 
 def test_kept_generators_are_independent_and_at_most_the_invariants():
+    """The generators, the coordinate vectors of degree >= 1, are their
+    own gamma^1, and are dim - 1 independent vectors: a basis of the
+    augmentation-zero invariants."""
     for family, rank in ORACLE_GROUPS + [(TORUS, 2)]:
         g = GroupSpec(family, rank)
         for d in range(1, 5):
             model = TruncatedAlgebra(g, d)
-            target = model.invariant_subspace(1).dim
-            images = model.orbit_sums()
-            # gamma^1 of an orbit sum is its image
-            assert [model.gammas(z, 1)[1] for z in images] == images
-            assert Subspace.from_vectors(model.dim, images).dim == len(images)
-            assert len(images) == target
+            generators = [list(z) for z in model.invariant_subspace(1).rows]
+            assert [model.gammas(z, 1)[1] for z in generators] == generators
+            assert Subspace.from_vectors(model.dim, generators).dim == len(generators)
+            assert len(generators) == model.dim - 1
 
 
 def test_check_prop_gl4_degree_five_matches_the_full_box_route():
@@ -665,7 +641,7 @@ def test_check_prop_gl4_degree_five_matches_the_full_box_route():
 
 
 def test_kept_spans_equal_full_box_spans_on_random_boxes():
-    """The sums kept from [-d, d]^n against every orbit sum of a box
+    """The model's spans over its generators against every orbit sum of a box
     [-bound, bound]^n with bound d or d + 1."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -727,18 +703,6 @@ def test_model_equals_the_u_model_through_ch():
                     assert kept[p] == ch_subspace(model, full[p]), (g, d, p)
 
 
-def test_short_scan_is_a_defect(monkeypatch):
-    """A scan whose images span too little ends short of the invariants,
-    which is refused as a defect."""
-    monkeypatch.setattr(TruncatedAlgebra, "_orbit_sum_image", lambda self, a: self.zero())
-    with pytest.raises(ReductionDefectError):
-        TruncatedAlgebra(GroupSpec(SP, 2), 4).orbit_sums()
-    out, err = io.StringIO(), io.StringIO()
-    assert run(["check-prop", "GL2", "--p-max", "2", "--degree", "3"], out, err) == 2
-    assert out.getvalue() == ""
-    assert err.getvalue().startswith("error[defect]: ")
-
-
 def test_check_prop_gl10_degree_four_keeps_its_output():
     """Recorded from the kernel route (stdout md5
     a5282b114819e153eb9d4454914d2706), which took about 5 s."""
@@ -777,7 +741,7 @@ def test_product_spans_from_lower_pieces_match_all_splits():
     cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
     for g, d in cases + [(GroupSpec(GL, 3), 5)]:
         model, filtration = kept_filtration(g, d)
-        values = [model.gammas(z) for z in model.orbit_sums()]
+        values = [model.gammas(z) for z in model.invariant_subspace(1).rows]
         gamma_spans = [
             Subspace.from_vectors(model.dim, [es[a] for es in values])
             for a in range(d + 1)
@@ -814,10 +778,10 @@ def test_product_spans_form_each_product_once(monkeypatch):
     """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
     split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
     Newton's identity adds 1 + 2 + 3 products for gamma^2..gamma^4 of each
-    of the 10 kept orbit sums."""
+    of the 10 coordinate vectors of degree >= 1."""
     model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
     count = _count_products(monkeypatch)
-    _gamma_filtration(model, model.orbit_sums(), 4)
+    _gamma_filtration(model, model.invariant_subspace(1).rows, 4)
     assert 0 < count[0] <= 260
     assert count[1] == 60
 
@@ -875,13 +839,12 @@ def test_check_prop_far_past_the_truncation_degree():
 
 def test_check_prop_acts_with_no_weyl_group(monkeypatch):
     """check-prop builds no orbit, no character and no Weyl-group action:
-    the orbit-sum images come from a closed form, and `reduce`, which
+    its generators are the model's coordinate vectors, and `reduce`, which
     checks that a caller's character is invariant, is never called."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("check-prop acted with the Weyl group")
 
-    monkeypatch.setattr(weyl, "orbit", refuse)
     monkeypatch.setattr(weyl, "_images", refuse)
     monkeypatch.setattr(filtration_check, "_fixed_by_generators", refuse)
     monkeypatch.setattr(TruncatedAlgebra, "reduce", refuse)

@@ -1,25 +1,21 @@
 import copy
-import itertools
 import pickle
 import random
 import time
 
 import pytest
 
-from chernrep.errors import EnumerationLimitError
+from chernrep.errors import ModelSizeError
 from chernrep.graded import SymbolicPolynomial
 from chernrep.invariants import symmetrize
 from chernrep.weyl import (
-    FAMILIES,
     GL,
     SO_EVEN,
     SO_ODD,
     SP,
     TORUS,
     GroupSpec,
-    _orbit_size,
-    dominant_weights,
-    orbit,
+    _images,
 )
 from weyl_oracle import SignedPermutation, compose, inverse, weyl_elements, weyl_order
 
@@ -86,41 +82,35 @@ def test_so_even_sign_products():
         assert product == 1
 
 
-def test_orbit_examples():
-    assert orbit(GroupSpec(GL, 2), (1, 0)) == {(1, 0), (0, 1)}
-    assert orbit(GroupSpec(SP, 2), (1, 0)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert orbit(GroupSpec(SO_EVEN, 2), (0, 0)) == {(0, 0)}
-
-
-def test_orbit_matches_full_enumeration():
-    for family, rank in [(GL, 3), (SP, 2), (SO_EVEN, 2), (SO_ODD, 2)]:
-        g = GroupSpec(family, rank)
-        for _ in range(10):
-            a = tuple(rng.randint(-2, 2) for _ in range(rank))
-            brute = {w.act(a) for w in weyl_elements(g)}
-            assert orbit(g, a) == brute
-
-
 def test_generators_generate():
-    """(n, ..., 1) has a trivial stabilizer, so its orbit, closed under the
-    generators alone, has one weight per element of W."""
+    """(n, ..., 1) has a trivial stabilizer, so its closure under the
+    generators of `_images` alone has one weight per element of W."""
     for family in (GL, SP, SO_ODD, SO_EVEN):
         for rank in range(1, 5):
             g = GroupSpec(family, rank)
             a = tuple(range(rank, 0, -1))
-            closed = orbit(g, a)
+            closed, frontier = {a}, [a]
+            while frontier:
+                frontier = [b for v in frontier for b in _images(g, v) if b not in closed]
+                closed.update(frontier)
             assert len(closed) == weyl_order(g)
             assert closed == {w.act(a) for w in weyl_elements(g)}
 
 
-def test_enumeration_guard():
-    # |W| = 2^14 14! is never enumerated: symmetrize closes the orbit of
-    # x1*...*x14 (2^14 monomials) and that closure is refused before any work
+def test_symmetrize_cancels_a_monomial_that_w_negates_at_once():
+    """|W| = 2^14 14!: a sign change negates x1*...*x14, so its average
+    is 0, found from the exponent without any element of W or orbit."""
     start = time.monotonic()
-    with pytest.raises(EnumerationLimitError):
-        orbit(GroupSpec(SP, 14), (1,) * 14)
-    with pytest.raises(EnumerationLimitError):
-        symmetrize(SymbolicPolynomial(14, {(1,) * 14: 1}), GroupSpec(SP, 14))
+    assert not symmetrize(SymbolicPolynomial(14, {(1,) * 14: 1}), GroupSpec(SP, 14))
+    assert time.monotonic() - start < 1.0
+
+
+def test_symmetrize_refuses_a_large_output_before_building_it():
+    """x1*...*x10 has C(20, 10) = 184,756 arrangements in 20 variables,
+    beyond the 20,000 monomials of the size guard."""
+    start = time.monotonic()
+    with pytest.raises(ModelSizeError, match="184756 exceeds limit 20000"):
+        symmetrize(SymbolicPolynomial(20, {(1,) * 10 + (0,) * 10: 1}), GroupSpec(GL, 20))
     assert time.monotonic() - start < 1.0
 
 
@@ -149,49 +139,3 @@ def test_group_spec_is_an_immutable_value():
         del g.rank
     assert copy.deepcopy(g) == g
     assert pickle.loads(pickle.dumps(g)) == g
-
-
-def test_dominant_weights_one_per_orbit_by_norm():
-    for family in FAMILIES:
-        for rank in range(1, 5):
-            g = GroupSpec(family, rank)
-            for bound in range(4):
-                weights = list(dominant_weights(g, bound))
-                norms = [sum(map(abs, a)) for a in weights]
-                assert norms == sorted(norms) and len(set(weights)) == len(weights)
-                box = [
-                    a
-                    for a in itertools.product(range(-bound, bound + 1), repeat=rank)
-                    if any(a)
-                ]
-                if family == TORUS:
-                    assert sorted(weights) == sorted(box)
-                    continue
-                orbits, seen = set(), set()
-                for a in box:
-                    if a not in seen:
-                        orb = frozenset(orbit(g, a))
-                        orbits.add(orb)
-                        seen |= orb
-                assert len(weights) == len(orbits)
-                assert {frozenset(orbit(g, a)) for a in weights} == orbits
-
-
-def test_orbit_size_is_predicted_before_closing():
-    for family in FAMILIES:
-        for rank in range(1, 5):
-            g = GroupSpec(family, rank)
-            for a in itertools.product(range(-2, 3), repeat=rank):
-                assert _orbit_size(g, a) == len(orbit(g, a))
-
-
-def test_orbit_guard_is_sized_by_the_orbit():
-    # |W| = 10! is above the limit, the orbit has 10 weights
-    assert len(orbit(GroupSpec(GL, 10), (1,) + (0,) * 9)) == 10
-    # 20!/(7! 6! 7!) weights: refused before any of them is built
-    start = time.monotonic()
-    with pytest.raises(EnumerationLimitError) as refused:
-        orbit(GroupSpec(GL, 20), (1,) * 7 + (0,) * 6 + (-1,) * 7)
-    assert time.monotonic() - start < 1.0
-    assert refused.value.code == "enumeration-limit"
-    assert "orbit" in str(refused.value)

@@ -1,20 +1,23 @@
 """The whole Weyl group, element by element: the test oracle for the
-generator action of `chernrep.weyl`, `is_invariant` and `symmetrize`.
+generator action of `chernrep.weyl`, `is_invariant` and `symmetrize`, and
+the orbits the other oracles build characters from.
 
-The library never builds an element of W; it moves integer tuples by the
-generators alone.  Here every element is a signed permutation of its own
-type, listed, composed and inverted, and a polynomial is averaged over all
-of them by direct substitution, so each check against this module takes an
-independent route.
+The library never builds an element of W and closes no orbit; it moves
+integer tuples by the generators alone.  Here every element is a signed
+permutation of its own type, listed, composed and inverted, an orbit is
+the set of images of a weight under all of them, and a polynomial is
+averaged over all of them by direct substitution, so each check against
+this module takes an independent route.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
 from chernrep.graded import SymbolicPolynomial
-from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS
+from chernrep.weyl import GL, SO_EVEN, SO_ODD, SP, TORUS, GroupSpec
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,29 @@ def weyl_order(g):
     return 2 ** (n - 1) * factorial(n)
 
 
+@lru_cache(maxsize=None)
 def weyl_elements(g):
-    """All elements of W(g), each exactly once; a torus gets the trivial
-    group."""
+    """All elements of W(g), each exactly once, built once per group; a
+    torus gets the trivial group."""
     n = g.rank
     if g.family == TORUS:
-        return [SignedPermutation.identity(n)]
+        return (SignedPermutation.identity(n),)
     perms = [tuple(p) for p in permutations(range(n))]
     if g.family == GL:
-        return [SignedPermutation(p, (1,) * n) for p in perms]
+        return tuple(SignedPermutation(p, (1,) * n) for p in perms)
     signs = list(product((1, -1), repeat=n))
     if g.family == SO_EVEN:
         signs = [s for s in signs if prod(s) == 1]
-    return [SignedPermutation(p, s) for p in perms for s in signs]
+    return tuple(SignedPermutation(p, s) for p in perms for s in signs)
+
+
+def orbit(g, a):
+    """The set {w.a : w in W}, element by element.  A torus gets GL's
+    orbit: the library gives a torus GL's transpositions, a known defect
+    that the tests pin, so its invariant characters are GL's."""
+    if g.family == TORUS:
+        g = GroupSpec(GL, g.rank)
+    return {w.act(a) for w in weyl_elements(g)}
 
 
 def compose(w, v):
