@@ -18,8 +18,7 @@ _PUBLIC = {
     ),
     "errors": ("ChernRepError",),
     "filtration_check": (
-        "PropReport", "Subspace", "TruncatedAlgebra", "gamma_subspace_invariant",
-        "verify_prop",
+        "PropReport", "Subspace", "TruncatedAlgebra", "verify_prop",
     ),
     "graded": (
         "BEYOND_CAP", "SymbolicPolynomial", "filtration_degree", "leading_class",

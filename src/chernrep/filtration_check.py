@@ -14,21 +14,30 @@ ch [a] = e^(a.x), a character x = sum_a m_a [a] has c_mu = sum_a m_a a^mu.
 
 Inside the model two subspaces are built per degree p and compared:
 
-  * the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k), sum a_j = p,
-    with the z's running over the coordinate vectors of degree >= 1, a
-    basis of the augmentation-zero invariants.  As
+  * Gamma^p(S), the span of products gamma^{a_1}(z_1)...gamma^{a_k}(z_k),
+    sum a_j = p, with the z's running over the coordinate vectors of
+    degree >= 1, a basis of the augmentation-zero invariants.  As
     gamma_t(z) = exp(sum_k (-1)^(k-1) P_k(z) t^k / k) and the degree-m part
     of P_k(z) is k! S(m, k) z_m (S the Stirling numbers of the second
     kind), linear in z, gamma_t(z + w) = gamma_t(z) gamma_t(w) and
-    gamma_t(qz) = gamma_t(z)^q: Gamma^p is the same for every basis.  A
-    product of two or more factors splits into two of weights a <= p/2 and
-    p - a, and Gamma^a Gamma^b lies in Gamma^(a+b), so the span is gamma^p
-    plus Gamma^a Gamma^(p-a) for a <= p/2 only, built in one forward pass:
-    gamma^1..gamma^top of each generator, then each Gamma^p from the
-    pieces below it.  Gamma^p lies in r^p, so for p > d it is zero in the
-    model and no product is formed;
+    gamma_t(qz) = gamma_t(z)^q: Gamma^p is the same for every basis.  For
+    a coordinate vector z of degree m, P_k(z) = k! S(m, k) z, so
+    gamma_t(z) = exp(z g_m(t)) with g_m(t) = sum_k (-1)^(k-1) (k-1)! S(m, k)
+    t^k, and gamma^p(z) = (-1)^(p-1) (p-1)! S(m, p) z plus terms in z^j,
+    j >= 2, of degree >= 2m.  S(m, p) is nonzero for m >= p, so by
+    descending induction on m the gamma^p rows alone span every
+    coordinate of degree >= p, where every product of weight p lies:
+    Gamma^p(S) is the span of the gamma^p rows, and no product is formed;
   * the invariants of filtration degree >= p, the image of r^p cut down to
     the invariants: the span of the coordinates of degree >= p.
+
+Gamma^p(S) lies in r^p, so it lies in the second subspace, and for p > d
+both are zero in the model.  By the closed form the two are equal for
+every p, so a PASS follows from the choice of basis, and a DIFFER (the
+gamma^p rows falling short of degree >= p) names a defect in `gammas`.
+The tests build Gamma^p independently, from every product of gamma
+operations of one orbit sum per Weyl orbit, in the u-model of
+`tests/filtration_oracle.py`.
 
 All linear algebra is exact and runs through one fraction-free routine in
 integers: a subspace is kept as its reduced row echelon form with primitive
@@ -272,40 +281,23 @@ class TruncatedAlgebra:
 
 
 def _gamma_filtration(model, sums, p_max):
-    """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the generators
-    `sums` (the inputs of `model.gammas`), in one forward pass.  Each one
-    gives gamma^1..gamma^top at once (top = min(max(p_max, 1), d)).  Every
-    product of two or more factors splits into factors of weights a <= p/2
-    and p - a, so Gamma^p is spanned by gamma^p and the products of the
-    rows of Gamma^a and Gamma^(p-a), a <= p/2, both built before it; at
-    2a = p the pairs i <= j of rows suffice.  Gamma^0 is the unit with
-    Gamma^1.  Past d, Gamma^p lies in r^p, which is zero in the model, so
-    the list stops at p = min(p_max, d) and no product is formed past d."""
+    """[Gamma^0(S), ..., Gamma^p_max(S)] in the model, over the coordinate
+    vectors `sums` of degree >= 1: Gamma^p is the span of their gamma^p,
+    each generator giving gamma^1..gamma^top at once
+    (top = min(max(p_max, 1), d)).  For z of degree m,
+    gamma^p(z) = (-1)^(p-1) (p-1)! S(m, p) z plus terms of degree >= 2m, so
+    by descending induction on m these rows span every coordinate of
+    degree >= p.  A product of rows of degree >= a and >= p - a lies in
+    degree >= p (`multiply` adds degrees), so no product is formed.
+    Gamma^0 is the unit with Gamma^1.  Past d, Gamma^p lies in r^p, which
+    is zero in the model, so the list stops at p = min(p_max, d)."""
     top = min(max(p_max, 1), model.d)
     spans = [Subspace(model.dim) for _ in range(top + 1)]
     for z in sums:
         for span, value in zip(spans[1:], model.gammas(z, top)[1:]):
             span._insert(value)
-    for p in range(2, top + 1):
-        for a in range(1, p // 2 + 1):
-            right = spans[p - a].rows
-            for i, u in enumerate(spans[a].rows):
-                for v in right[i if 2 * a == p else 0 :]:
-                    spans[p]._insert(model.multiply(u, v))
     spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
     return spans[: p_max + 1]
-
-
-def gamma_subspace_invariant(g, p, d):
-    """Image in the truncated model of the degree-p piece of the gamma
-    filtration of the invariant subring, generated by the coordinate
-    vectors of degree >= 1; zero for p > d."""
-    if p < 0:
-        raise ValueError("filtration degree p must be >= 0")
-    model = TruncatedAlgebra(g, d)
-    if p > d:
-        return Subspace(model.dim)
-    return _gamma_filtration(model, model.invariant_subspace(1).rows, p)[p]
 
 
 class PropEntry(_Record):

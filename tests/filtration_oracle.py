@@ -7,10 +7,11 @@ modelled modulo r^(d+1), r the augmentation ideal: with u_i = [e_i] - [0]
 the quotient is the truncated polynomial algebra on u_1..u_n, with
 monomial basis of total degree <= d, and every character reduces exactly
 via [a] = prod (1 + u_i)^(a_i), expanded through generalized binomials.
-The gamma spans are built from one orbit sum per Weyl orbit of a whole
-box, not from the coordinate vectors that the library takes.  `to_ch`
-carries a u-model vector to the library's coordinates, so each check
-against this module takes an independent route.
+The gamma spans are built from every product of the gamma operations of
+one orbit sum per Weyl orbit of a whole box, not from the gamma^p of the
+coordinate vectors that the library takes.  `to_ch` carries a u-model
+vector to the library's coordinates, so each check against this module
+takes an independent route.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from math import factorial, prod
 
 from chernrep.char_ring import VirtualCharacter, _binomial_power, _code, _form, _product
 from chernrep.errors import RankMismatchError, model_dimension
-from chernrep.filtration_check import Subspace, TruncatedAlgebra, _gamma_filtration
+from chernrep.filtration_check import Subspace, TruncatedAlgebra
 from chernrep.weyl import invariant_degrees
 from weyl_oracle import orbit
 
@@ -197,11 +198,33 @@ def weight_images(model, z):
     return images
 
 
-def full_box_context(g, d, bound=None, top=None):
-    """The full-box route: [Gamma^0, ..., Gamma^top] (top = d by default) of
-    the degree-d u-model over one orbit sum per Weyl orbit in the whole box
-    [-bound, bound]^n (bound = d by default)."""
+def product_spans_by_all_splits(model, values, top):
+    """[Gamma^0, ..., Gamma^top], top >= 1, over generators whose
+    gamma^0..gamma^top are `values` (one list per generator): Gamma^p as
+    gamma^p plus gamma^a Gamma^(p-a) for every a in 1..p-1, which forms
+    most products more than once.  Every product of gamma operations of
+    weight p is one gamma^a times a product of weight p - a, so this is the
+    whole of Gamma^p.  Gamma^0 is the unit with Gamma^1."""
+    gammas = [Subspace.from_vectors(model.dim, [es[a] for es in values]) for a in range(top + 1)]
+    spans = [None]
+    for p in range(1, top + 1):
+        span = Subspace.from_vectors(model.dim, gammas[p].rows)
+        for a in range(1, p):
+            for u in gammas[a].rows:
+                for v in spans[p - a].rows:
+                    span._insert(model.multiply(u, v))
+        spans.append(span)
+    spans[0] = Subspace.from_vectors(model.dim, [model.unit(), *spans[1].rows])
+    return spans
+
+
+def full_box_context(g, d, bound=None):
+    """The full-box route: [Gamma^0, ..., Gamma^d] of the degree-d u-model
+    over one orbit sum per Weyl orbit in the whole box [-bound, bound]^n
+    (bound = d by default).  The orbit sums are not homogeneous, so their
+    gamma^p alone do not span Gamma^p (every GL2 orbit has at most 2
+    weights, so gamma^3 of each is 0), and the products are formed."""
     model = UModel(g, d)
     gens = orbit_sum_generators(g, d if bound is None else bound)
-    sums = [weight_images(model, z) for z in gens]
-    return _gamma_filtration(model, sums, d if top is None else top)
+    values = [model.gammas(weight_images(model, z)) for z in gens]
+    return product_spans_by_all_splits(model, values, d)

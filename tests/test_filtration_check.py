@@ -24,7 +24,6 @@ from chernrep.filtration_check import (
     Subspace,
     TruncatedAlgebra,
     _gamma_filtration,
-    gamma_subspace_invariant,
     verify_prop,
 )
 from chernrep.weyl import (
@@ -43,6 +42,7 @@ from filtration_oracle import (
     full_box_context,
     invariant_count,
     orbit_sum_generators,
+    product_spans_by_all_splits,
 )
 from weyl_oracle import orbit
 
@@ -58,6 +58,12 @@ def kept_filtration(g, d):
     generators, the coordinate vectors of degree >= 1."""
     model = TruncatedAlgebra(g, d)
     return model, _gamma_filtration(model, model.invariant_subspace(1).rows, d)
+
+
+def gamma_piece(g, p, d):
+    """Gamma^p(S), p <= d, in the model of degree d."""
+    model = TruncatedAlgebra(g, d)
+    return _gamma_filtration(model, model.invariant_subspace(1).rows, p)[p]
 
 
 def test_model_dimensions():
@@ -145,7 +151,7 @@ def test_subspace_canonical_equality():
 
 def test_gamma_subspace_torus_rank1():
     g = GroupSpec(TORUS, 1)
-    sub = gamma_subspace_invariant(g, 1, 2)
+    sub = gamma_piece(g, 1, 2)
     u = V(1, {(1,): 1, (0,): -1})
     model = TruncatedAlgebra(g, 2)
     expected = Subspace.from_vectors(3, [model.reduce(u), model.reduce(u**2)])
@@ -154,7 +160,7 @@ def test_gamma_subspace_torus_rank1():
 
 def test_gamma_subspace_p0_is_invariant_subspace():
     g = GroupSpec(GL, 2)
-    sub = gamma_subspace_invariant(g, 0, 3)
+    sub = gamma_piece(g, 0, 3)
     inv = TruncatedAlgebra(g, 3).invariant_subspace(0)
     assert sub == inv
     assert inv == TruncatedAlgebra(g, 3).invariant_subspace()
@@ -168,15 +174,15 @@ def test_ambient_cap_beyond_truncation_is_zero():
 
 def test_small_truncation_equalities():
     for g, d in [(GroupSpec(GL, 2), 3), (GroupSpec(SP, 2), 4)]:
-        assert gamma_subspace_invariant(g, 2, d) == TruncatedAlgebra(g, d).invariant_subspace(2)
+        assert gamma_piece(g, 2, d) == TruncatedAlgebra(g, d).invariant_subspace(2)
 
 
 def test_filtration_nesting():
     for family, rank, d in [(GL, 2, 4), (SP, 2, 4)]:
         g = GroupSpec(family, rank)
         for p in range(d):
-            outer_s = gamma_subspace_invariant(g, p, d)
-            inner_s = gamma_subspace_invariant(g, p + 1, d)
+            outer_s = gamma_piece(g, p, d)
+            inner_s = gamma_piece(g, p + 1, d)
             assert outer_s.contains_subspace(inner_s)
             outer_a = TruncatedAlgebra(g, d).invariant_subspace(p)
             inner_a = TruncatedAlgebra(g, d).invariant_subspace(p + 1)
@@ -187,7 +193,7 @@ def test_filtration_multiplicativity():
     g = GroupSpec(GL, 2)
     d = 4
     model = TruncatedAlgebra(g, d)
-    subs = {p: gamma_subspace_invariant(g, p, d) for p in range(1, 4)}
+    subs = {p: gamma_piece(g, p, d) for p in range(1, 4)}
     for p in range(1, 3):
         for q in range(1, 4 - p):
             target = subs[p + q]
@@ -201,8 +207,6 @@ def test_negative_filtration_degree_is_refused():
     g = GroupSpec(TORUS, 10)
     with pytest.raises(ValueError):
         verify_prop(g, -1, 10)
-    with pytest.raises(ValueError):
-        gamma_subspace_invariant(g, -1, 10)
 
 
 def test_reduce_refuses_a_character_of_another_rank():
@@ -244,10 +248,9 @@ def test_report_json_schema():
 
 def test_generator_bound_stability_small():
     g = GroupSpec(GL, 2)
-    model = TruncatedAlgebra(g, 3)
+    (model, kept), full = kept_filtration(g, 3), full_box_context(g, 3, 4)
     for p in range(4):
-        full = full_box_context(g, 3, 4, top=p)
-        assert gamma_subspace_invariant(g, p, 3) == ch_subspace(model, full[p])
+        assert kept[p] == ch_subspace(model, full[p])
 
 
 def test_orbit_sum_generators_one_per_orbit():
@@ -722,40 +725,28 @@ def test_check_prop_gl10_degree_four_keeps_its_output():
     )
 
 
-def product_span_by_all_splits(model, gamma_spans, p, spans):
-    """Gamma^p as gamma^p plus gamma^a Gamma^(p-a) for every a in 1..p-1,
-    which forms most products more than once: the oracle for the products
-    of `_gamma_filtration`."""
-    if p not in spans:
-        span = Subspace.from_vectors(model.dim, gamma_spans[p].rows)
-        for a in range(1, p):
-            right = product_span_by_all_splits(model, gamma_spans, p - a, spans).rows
-            for u in gamma_spans[a].rows:
-                for v in right:
-                    span._insert(model.multiply(u, v))
-        spans[p] = span
-    return spans[p]
-
-
 def test_product_spans_from_lower_pieces_match_all_splits():
-    cases = [(GroupSpec(f, r), d) for f, r in ORACLE_GROUPS for d in range(1, 5)]
-    for g, d in cases + [(GroupSpec(GL, 3), 5)]:
+    """Gamma^p over the coordinate vectors, taken as the span of their
+    gamma^p rows alone, against every product of their gamma operations.
+    It backs the closed form: for z of degree m,
+    gamma^p(z) = (-1)^(p-1) (p-1)! S(m, p) z plus terms of degree >= 2m,
+    so by descending induction on m the gamma^p rows span every coordinate
+    of degree >= p, and no product adds rank."""
+    families = (GL, SP, SO_ODD, SO_EVEN)
+    cases = [(f, r, d) for f in families for r in (1, 2, 3) for d in range(1, 7)]
+    cases += [(f, 4, d) for f in families for d in range(1, 5)]
+    for family, rank, d in cases:
+        g = GroupSpec(family, rank)
         model, filtration = kept_filtration(g, d)
         values = [model.gammas(z) for z in model.invariant_subspace(1).rows]
-        gamma_spans = [
-            Subspace.from_vectors(model.dim, [es[a] for es in values])
-            for a in range(d + 1)
-        ]
-        spans = {}
-        for p in range(1, d + 1):
-            oracle = product_span_by_all_splits(model, gamma_spans, p, spans)
-            assert oracle.rows == filtration[p].rows, (g, d, p)
+        oracle = product_spans_by_all_splits(model, values, d)
+        assert [s.rows for s in oracle] == [s.rows for s in filtration], (g, d)
 
 
 def _count_products(monkeypatch):
     """A list [products, Newton products] that counts the `multiply` calls
-    from now on: those of the product stage, and those that Newton's
-    identity makes inside `gammas`."""
+    from now on: those made outside `gammas`, and those that Newton's
+    identity makes inside it."""
     multiply, gammas, count, inside = TruncatedAlgebra.multiply, TruncatedAlgebra.gammas, [0, 0], [0]
 
     def counted(self, f, g):
@@ -776,26 +767,64 @@ def _count_products(monkeypatch):
 
 def test_product_spans_form_each_product_once(monkeypatch):
     """check-prop GL3 --p-max 4 --degree 4 formed 482 products when every
-    split a + (p - a) was taken; from the pieces a <= p/2 it forms 260.
-    Newton's identity adds 1 + 2 + 3 products for gamma^2..gamma^4 of each
-    of the 10 coordinate vectors of degree >= 1."""
+    split a + (p - a) was taken, and 260 from the pieces a <= p/2; from the
+    gamma^p rows alone it forms none, so no product is formed twice. Newton's
+    identity makes 1 + 2 + 3 products for gamma^2..gamma^4 of each of the
+    10 coordinate vectors of degree >= 1."""
     model = TruncatedAlgebra(GroupSpec(GL, 3), 4)
     count = _count_products(monkeypatch)
     _gamma_filtration(model, model.invariant_subspace(1).rows, 4)
-    assert 0 < count[0] <= 260
-    assert count[1] == 60
+    assert count == [0, 60]
 
 
 def test_products_stop_at_the_truncation_degree(monkeypatch):
     """Gamma^p lies in r^p, which is zero in the model for p > d, so a
-    p_max past d forms no more products than p_max = d."""
+    p_max past d forms no more products than p_max = d: on the check-prop
+    path `multiply` runs only inside `gammas`, for p_max 4 and 12 alike."""
     counts = []
     for p_max in (4, 12):
         count = _count_products(monkeypatch)
         report = verify_prop(GroupSpec(GL, 3), p_max, 4)
-        counts.append(count[0])
+        counts.append(list(count))
+        assert report.passed
         assert all(e.dim_gamma_S == e.dim_gamma_R_cap_S == 0 for e in report.entries[5:])
-    assert counts[0] == counts[1] == 260
+    assert counts[0] == counts[1] == [0, 60]
+
+
+def test_product_table_adds_degrees():
+    """Every term of the product table reads coordinates i and j into a k
+    with deg k = deg i + deg j, so a product of rows of degree >= a and
+    >= p - a lies in degree >= p: the ambient side holds every product
+    that the S side does not form."""
+    for family in (GL, SP, SO_ODD, SO_EVEN):
+        for rank in range(1, 5):
+            for d in range(1, 7):
+                model = TruncatedAlgebra(GroupSpec(family, rank), d)
+                degrees = model.degrees
+                for i, pairs in enumerate(model._product_table()):
+                    for j, terms in pairs:
+                        assert all(degrees[k] == degrees[i] + degrees[j] for k, _ in terms)
+
+
+@pytest.mark.parametrize(
+    "group, degree, digest",
+    [
+        ("GL3", "12", "2871c45cf97297f69bdb02550def4d94"),
+        ("GL4", "10", "58901a662b46592ea547e00ecda4b2c8"),
+        ("GL6", "8", "9884aaa7168582d722f521583fd340d4"),
+    ],
+)
+def test_check_prop_heavy_cases_form_no_products(group, degree, digest):
+    """Stdout md5 recorded when Gamma^p was built from products of the
+    pieces below it, which took 2.5-3.6 s for GL3 12/12 end to end; from
+    the gamma^p rows alone each case takes well under the bound."""
+    start = time.monotonic()
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check-prop", group, "--p-max", degree, "--degree", degree]
+    assert run(argv, out, err) == 0
+    assert time.monotonic() - start < 1.5
+    assert err.getvalue() == ""
+    assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_no_work_past_the_truncation_degree(monkeypatch):
@@ -817,7 +846,6 @@ def test_no_work_past_the_truncation_degree(monkeypatch):
     assert counts[0] == counts[1]
     assert reports[1].entries[:5] == reports[0].entries
     assert reports[1].entries[5:] == tuple(PropEntry(p, 0, 0, True, ()) for p in range(5, 13))
-    assert gamma_subspace_invariant(g, 7, 4) == Subspace(TruncatedAlgebra(g, 4).dim)
 
 
 def test_check_prop_far_past_the_truncation_degree():
