@@ -22,6 +22,7 @@ import operator
 from math import factorial
 
 from .errors import RankMismatchError
+from .weyl import _Record
 
 
 def binomial(n, k):
@@ -104,7 +105,7 @@ def _signed_sum(parts):
     return " ".join(out) or "0"
 
 
-class VirtualCharacter:
+class VirtualCharacter(_Record):
     """Finitely supported map weight -> nonzero integer multiplicity.
     Weights and multiplicities must be integers (TypeError otherwise)."""
 
@@ -120,19 +121,7 @@ class VirtualCharacter:
                 )
             if mult:
                 collected[weight] = collected.get(weight, 0) + mult
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", {w: m for w, m in collected.items() if m})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualCharacter is immutable")
-
-    @classmethod
-    def _trusted(cls, rank, terms):
-        """These terms as they are: int-tuple weights, nonzero int values."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "rank", rank)
-        object.__setattr__(x, "terms", terms)
-        return x
+        super().__init__(rank, {w: m for w, m in collected.items() if m})
 
     @classmethod
     def zero(cls, rank):
@@ -194,18 +183,8 @@ class VirtualCharacter:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualCharacter)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.rank, tuple(sorted(self.terms.items()))))
 
     def to_text(self):
         """Canonical text form, e.g. ``2[1,0] + [0,1] - [0,0]``.
@@ -227,9 +206,6 @@ class VirtualCharacter:
 
     def __str__(self):
         return self.to_text()
-
-    def __repr__(self):
-        return f"VirtualCharacter({self.rank}, {self.terms!r})"
 
 
 def augmentation(x):

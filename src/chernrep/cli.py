@@ -18,6 +18,7 @@ from .char_ring import augmentation
 from .errors import (
     ChernRepError,
     InvarianceError,
+    ModelSizeError,
     NoCanonicalGeneratorsError,
     ParseError,
 )
@@ -90,19 +91,27 @@ def _build_parser():
     return parser
 
 
-def _emit_json(obj, out):
+def _json_text(obj):
     import json  # here, not at the top: only --json output needs it
-    print(json.dumps(obj, sort_keys=True, separators=(", ", ": ")), file=out)
+    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
 
 
 def _print_result(args, out, g, value, **fields):
     """Print value as text or, with --json, the object of the group and the
-    fields, a field that has `to_json_obj` written as that."""
-    if args.json:
-        obj = {k: v.to_json_obj() if hasattr(v, "to_json_obj") else v for k, v in fields.items()}
-        _emit_json({"group": str(g), **obj}, out)
-    else:
-        print(value.to_text(), file=out)
+    fields, a field that has `to_json_obj` written as that.  An integer too
+    long for the interpreter to write as text is refused before any output."""
+    try:
+        if args.json:
+            obj = {k: v.to_json_obj() if hasattr(v, "to_json_obj") else v for k, v in fields.items()}
+            text = _json_text({"group": str(g), **obj})
+        else:
+            text = value.to_text()
+    except ValueError:  # int to str past sys.get_int_max_str_digits()
+        raise ModelSizeError(
+            f"the result has an integer past the limit of {sys.get_int_max_str_digits()} "
+            "digits on integer text conversion (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+        ) from None
+    print(text, file=out)
     return 0
 
 
@@ -173,7 +182,7 @@ def _cmd_check_prop(args, out, err):
     g = parse_group(args.group)
     report = filtration_check.verify_prop(g, args.p_max, args.degree)
     if args.json:
-        _emit_json(report.to_json_obj(), out)
+        print(_json_text(report.to_json_obj()), file=out)
     else:
         print(f"group {report.group}  truncation degree {report.d}", file=out)
         for e in report.entries:

@@ -1,9 +1,10 @@
-"""Shared exception types, and the size guard behind ModelSizeError.
+"""Shared exception types, the size guard behind ModelSizeError, and `parse_int`.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
 ``error[<code>]: message`` uniformly.
 """
 
+import sys
 from math import comb
 
 # Truncated polynomial spaces (the filtration model, symbol maps, Chern
@@ -68,3 +69,13 @@ class ParseError(ChernRepError):
             message = f"{message} (at position {pos})"
         super().__init__(message)
         self.pos = pos
+
+
+def parse_int(digits, pos=None):
+    """int(digits) for a string of decimal digits, or a ParseError that
+    names the interpreter's limit on converting integers from text."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = f"the limit of {sys.get_int_max_str_digits()} digits"
+        raise ParseError(f"integer literal of {len(digits)} digits past {limit}", pos) from None

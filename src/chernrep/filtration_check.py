@@ -62,7 +62,7 @@ def _primitive(vec):
     return [v // g for v in vec] if g != 1 else vec
 
 
-class Subspace:
+class Subspace(_Record):
     """Subspace of Q^dim in canonical form: the reduced row echelon basis,
     each row scaled to a primitive integer vector with a positive pivot.
     Elimination is fraction-free, so it runs in integers throughout, and
@@ -71,11 +71,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_rows", {})  # pivot column -> row
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        super().__init__(ambient_dim, {})  # pivot column -> row
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -132,13 +128,6 @@ class Subspace:
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other._rows.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self._rows == other._rows
-        )
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

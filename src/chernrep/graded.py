@@ -29,6 +29,7 @@ from .errors import (
     RankMismatchError,
     model_dimension,
 )
+from .weyl import _Record
 
 BEYOND_CAP = "beyond-cap"
 
@@ -74,7 +75,7 @@ def _terms_json(terms, order):
     ]
 
 
-class SymbolicPolynomial:
+class SymbolicPolynomial(_Record):
     """Sparse polynomial in x_1..x_n with exact rational coefficients.
 
     Stored as a map from exponent vectors to nonzero Fractions.
@@ -96,22 +97,7 @@ class SymbolicPolynomial:
             if c:
                 prev = collected.get(exps)
                 collected[exps] = c if prev is None else prev + c
-        object.__setattr__(
-            self, "terms", {e: c for e, c in collected.items() if c}
-        )
-        object.__setattr__(self, "rank", rank)
-
-    @classmethod
-    def _trusted(cls, rank, terms):
-        """These terms as they are: int-tuple exponents of length rank,
-        nonzero Fraction values."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "rank", rank)
-        object.__setattr__(f, "terms", terms)
-        return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicPolynomial is immutable")
+        super().__init__(rank, {e: c for e, c in collected.items() if c})
 
     @classmethod
     def zero(cls, rank):
@@ -196,18 +182,8 @@ class SymbolicPolynomial:
                 out = _product(out, power, cut)
         return _polynomial(out, self.rank, base, lambda _: scale**k)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymbolicPolynomial)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.rank, tuple(sorted(self.terms.items()))))
 
     def total_degree(self):
         """Maximal total degree, or -1 for the zero polynomial."""
@@ -237,9 +213,6 @@ class SymbolicPolynomial:
 
     def __str__(self):
         return self.to_text()
-
-    def __repr__(self):
-        return f"SymbolicPolynomial({self.rank}, {self.terms!r})"
 
 
 def _coded(terms, base):

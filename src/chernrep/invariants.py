@@ -30,7 +30,8 @@ from .char_ring import _code, _decode, _product
 from .graded import SymbolicPolynomial, _chern_product, _coded, _polynomial
 from .graded import _terms_json, _terms_text
 from .reps import standard
-from .weyl import SO_EVEN, TORUS, _carries_invariant, _fixed_by_generators, _images, invariant_degrees
+from .weyl import SO_EVEN, TORUS, _carries_invariant, _fixed_by_generators, _images, _Record
+from .weyl import invariant_degrees
 
 
 def _monomial(v):
@@ -115,7 +116,7 @@ def generator_definitions(g):
     return list(zip((f"I{p}" for p in range(1, n + 1)), polys, degrees))
 
 
-class GeneratorExpression:
+class GeneratorExpression(_Record):
     """Polynomial with rational coefficients in the generators I_1..I_l,
     its terms checked as those of a polynomial in rank-many variables."""
 
@@ -126,18 +127,7 @@ class GeneratorExpression:
             raise NoCanonicalGeneratorsError(
                 "a torus has no canonical invariant generators"
             )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", SymbolicPolynomial(group.rank, terms).terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratorExpression is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneratorExpression)
-            and self.group == other.group
-            and self.terms == other.terms
-        )
+        super().__init__(group, SymbolicPolynomial(group.rank, terms).terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -159,9 +149,6 @@ class GeneratorExpression:
 
     def __str__(self):
         return self.to_text()
-
-    def __repr__(self):
-        return f"GeneratorExpression({self.group!r}, {self.terms!r})"
 
 
 def _generator_products(g, base):

@@ -8,7 +8,7 @@ import re
 
 from . import graded, invariants, reps
 from .char_ring import VirtualCharacter
-from .errors import ParseError
+from .errors import ParseError, parse_int
 from .weyl import TORUS, _Record
 
 _TOKEN_RX = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\S))")
@@ -24,7 +24,7 @@ class _Tokens:
             if not m:
                 break
             if m.group(1) is not None:
-                self.items.append(("int", int(m.group(1)), m.start(1)))
+                self.items.append(("int", parse_int(m.group(1), m.start(1)), m.start(1)))
             elif m.group(2) is not None:
                 self.items.append(("name", m.group(2), m.start(2)))
             else:
@@ -111,7 +111,7 @@ def _parse_poly_primary(toks, rank, prefix):
             raise ParseError(
                 f"unknown variable {value!r} (expected {prefix}1..{prefix}{rank})", pos
             )
-        idx = int(m.group(1))
+        idx = parse_int(m.group(1), pos)
         if idx > rank:
             raise ParseError(f"variable {value!r} outside rank {rank}", pos)
         return graded.SymbolicPolynomial.variable(rank, idx)

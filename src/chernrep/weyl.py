@@ -1,5 +1,6 @@
-"""Classical group descriptors, their text form, and the action of their
-Weyl groups on integer tuples.
+"""Classical group descriptors, their text form, the action of their Weyl
+groups on integer tuples, and `_Record`, the immutable base of every value
+type of the library.
 
 `parse_group` reads a group spec ("GL3", "Sp4", "SO5", "T2") into the
 `GroupSpec` it names.
@@ -17,7 +18,7 @@ monomial over W is nonzero.
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 GL = "GL"
 SP = "Sp"
@@ -30,8 +31,10 @@ FAMILIES = (GL, SP, SO_ODD, SO_EVEN, TORUS)
 
 class _Record:
     """An immutable value whose fields are its __slots__, given by position
-    or keyword.  Records are equal, and hash alike, when of one class with
-    equal fields."""
+    or keyword; the base of every value type of the library.  Records are
+    equal when of one class with equal fields, and equal records hash
+    alike, a dict-valued field by its items.  copy and pickle rebuild a
+    record from its fields through `_trusted`, without checking them."""
 
     __slots__ = ()
 
@@ -46,10 +49,19 @@ class _Record:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """The record of these fields as they are, unchecked."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(record, name, value)
+        return record
+
     def _key(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
-    __reduce__ = _key  # copy and pickle rebuild a record from its class and fields
+    def __reduce__(self):
+        return type(self)._trusted, self._key()[1]
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -60,7 +72,8 @@ class _Record:
         return isinstance(other, _Record) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        cls, values = self._key()
+        return hash((cls, *(frozenset(v.items()) if isinstance(v, dict) else v for v in values)))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()[1]))
@@ -108,7 +121,7 @@ def parse_group(text):
     m = _GROUP_RX.match(text.strip())
     if not m:
         raise ParseError(f"not a group spec: {text!r}")
-    kind, num = m.group(1), int(m.group(2))
+    kind, num = m.group(1), parse_int(m.group(2))
     if kind == "GL":
         if num < 1:
             raise ParseError("GL needs n >= 1")

@@ -1,8 +1,13 @@
+import copy
+import inspect
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import chernrep
+from chernrep import GeneratorExpression, Subspace, SymbolicPolynomial
 from chernrep.char_ring import (
     VirtualCharacter,
     _code,
@@ -15,7 +20,9 @@ from chernrep.char_ring import (
     lambda_series,
 )
 from chernrep.errors import RankMismatchError
+from chernrep.filtration_check import PropEntry, PropReport
 from chernrep.reps import symmetric
+from chernrep.weyl import GL, SP, GroupSpec, _Record
 from series_oracle import (
     adams_via_series,
     gamma_series_by_sums,
@@ -295,10 +302,44 @@ def test_series_inverse_roundtrip():
         assert series_product(lam, series_inverse(lam)) == series_one(r, d)
 
 
-def test_character_immutable():
-    x = VirtualCharacter.unit(2)
-    with pytest.raises(AttributeError):
-        x.rank = 3
+_ENTRY = PropEntry(1, 2, 2, True, ((1, 0),))
+_VALUES = [
+    VirtualCharacter(2, {(1, 0): 2, (0, -1): -1}),
+    SymbolicPolynomial(2, {(1, 0): Fraction(1, 2), (0, 0): 3}),
+    GeneratorExpression(GroupSpec(GL, 2), {(1, 1): Fraction(-2, 3)}),
+    Subspace.from_vectors(3, [[2, 4, 0], [0, 1, 1]]),
+    GroupSpec(SP, 2),
+    _ENTRY,
+    PropReport("GL2", 2, (_ENTRY,), False),
+]
+
+
+@pytest.mark.parametrize("x", _VALUES, ids=lambda x: type(x).__name__)
+def test_character_immutable(x):
+    """A field of a value can be neither assigned nor deleted, and copy,
+    deepcopy and pickle give an equal value that hashes alike; a Subspace,
+    whose rows are lists, is unhashable."""
+    for name in x.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x
+        if isinstance(x, Subspace):
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == hash(x)
+
+
+def test_every_public_value_type_is_a_record():
+    """One base class freezes, compares, hashes, copies and pickles every
+    value type, so that none hand-rolls its immutability."""
+    classes = {n for n in chernrep.__all__ if inspect.isclass(getattr(chernrep, n))}
+    assert {"TruncatedAlgebra", "ChernRepError", "VirtualCharacter"} <= classes
+    for name in classes - {"TruncatedAlgebra", "ChernRepError"}:
+        assert issubclass(getattr(chernrep, name), _Record), name
 
 
 def test_code_properties():

@@ -141,6 +141,24 @@ def test_check_prop_failure_exit_code(monkeypatch):
     assert "error[verify-failed]" in err
 
 
+_HUGE = "9" * 5000  # past the interpreter's default limit on int <-> str conversion
+
+
+def _run_both(argv):
+    """run_cli(argv), checked to give the exit code, stdout and stderr of a
+    fresh `python -m chernrep`, each run ending within a second."""
+    start = time.monotonic()
+    result = run_cli(argv)
+    middle = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chernrep", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert middle - start < 1.0 and time.monotonic() - middle < 1.0
+    assert result == (proc.returncode, proc.stdout, proc.stderr)
+    return result
+
+
 def test_usage_errors_exit_1():
     code, _, err = run_cli(["chern"])
     assert code == 1 and "error[usage]" in err
@@ -152,6 +170,15 @@ def test_usage_errors_exit_1():
     assert code == 1 and "error[parse]" in err
     code, _, err = run_cli(["chern", "QQ7", "std"])
     assert code == 1 and "error[parse]" in err
+    limit = sys.get_int_max_str_digits()
+    for argv, at in [
+        (["adams", "-k", "2", "T1", f"weights[[{_HUGE}]]"], " (at position 9)"),
+        (["rewrite", "GL1", f"x1^2*{_HUGE}"], " (at position 5)"),
+        (["rewrite", "GL1", f"x{_HUGE}"], " (at position 0)"),
+        (["chern", f"GL{_HUGE}", "std"], ""),
+    ]:
+        message = f"integer literal of 5000 digits past the limit of {limit} digits{at}"
+        assert _run_both(argv) == (1, "", f"error[parse]: {message}\n")
 
 
 def test_torus_std_is_a_parse_error():
@@ -174,6 +201,11 @@ def test_computation_errors_exit_2():
     assert code == 2 and "error[not-invariant]" in err
     code, _, err = run_cli(["check-prop", "T10", "--p-max", "2", "--degree", "10"])
     assert code == 2 and "error[model-size]" in err
+    # 1/1600! has a denominator of 4,434 digits, printed as text or as JSON
+    for flags in ([], ["--json"]):
+        code, out, err = _run_both(["ch", "GL1", "std", "--max-degree", "1600", *flags])
+        assert code == 2 and out == "" and err.startswith("error[model-size]: ")
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_generator_basis_refusals_come_before_any_work(monkeypatch):
